@@ -4,24 +4,27 @@ Space-partitioning tree nodes are much smaller than pages, so the mapping of
 nodes to pages decides the I/O cost of every root-to-leaf traversal (paper
 Section 3, "Clustering"). SP-GiST ships a clustering technique based on
 Diwan et al. [12] that provably minimizes the tree's *page height*. We
-implement the same idea two ways:
+implement the same idea in two places:
 
 - **Incremental placement** (:meth:`NodeStore.create`): a new node is placed
   on its parent's page when space remains, otherwise on the current open
   page, otherwise on a fresh page. Parent-child co-residency is exactly what
   keeps page height low during dynamic inserts.
-- **Offline repacking** (:func:`repack`): after a bulk build, the tree is
-  rewritten with BFS-cap packing — each page receives the breadth-first top
-  of one subtree until its byte budget is exhausted, and the children left
+- **BFS-cap packing**: each page receives the breadth-first top of one
+  subtree until its byte budget is exhausted, and the children left
   uncovered seed the next pages. Every traversal then crosses one page per
   cap, which is the minimum-page-height behaviour of [12]; Figure 12
-  measures exactly this.
+  measures exactly this. There is one planner (:func:`_plan_pages`) and one
+  materializer (:func:`_write_pages`); :func:`pack_nodes` runs them over an
+  in-memory tree (bulk build), :func:`repack_subtree` over a stored subtree
+  (the whole-tree repack, ``REPACK INDEX`` and the background repacker).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from repro.errors import IndexCorruptionError
 from repro.core.node import Entry, InnerNode, LeafNode, NodeRef
@@ -88,8 +91,8 @@ class NodeStore:
     def detach(self) -> None:
         """Unhook this store's cache from the buffer pool.
 
-        Must be called when a store is retired (e.g. replaced by a
-        :func:`repack`) so the pool does not keep notifying a dead cache.
+        Must be called when a store is retired (its node shut down or
+        rebuilt) so the pool does not keep notifying a dead cache.
         Safe to call on a cacheless or already-detached store.
         """
         if self._cache_listener is not None:
@@ -265,6 +268,107 @@ class NodeStore:
         return self.used_bytes() / (len(self.page_ids) * self.page_capacity)
 
 
+def _plan_pages(
+    root: Any,
+    measure: Callable[[Any], tuple[int, Iterable[Any]]],
+    page_capacity: int,
+    tail_room: int = 0,
+) -> list[list[tuple[Any, int]]]:
+    """BFS-cap plan: which nodes share a page, in slot order.
+
+    Each page is filled with the breadth-first top (*cap*) of one pending
+    subtree — or several, while room remains — until its byte budget is
+    exhausted; frontier children that did not make the cut seed later
+    pages. A root-to-leaf traversal then crosses one page per cap, the
+    minimum-page-height behaviour of [12], while seed-sharing keeps pages
+    full.
+
+    ``measure(handle)`` returns ``(size, child handles)``; handles are
+    whatever the caller walks (node objects, :class:`NodeRef`). A non-zero
+    ``tail_room`` makes group 0 the continuation of a page that already
+    holds nodes: it offers only that much room and, unlike a fresh page
+    (which always admits its first node, however large), may stay empty.
+
+    Returns one ``[(handle, size), ...]`` list per page. Planning touches
+    only local state, so evictions caused by ``measure`` are harmless.
+    """
+    groups: list[list[tuple[Any, int]]] = []
+    pending: deque[Any] = deque([root])
+    while pending:
+        members: list[tuple[Any, int]] = []
+        groups.append(members)
+        shared, free = bool(tail_room), tail_room or page_capacity
+        tail_room = 0
+        overflow: deque[Any] = deque()
+        while pending:
+            # Pack the cap of the next pending subtree into this page; stop
+            # opening new caps once one of them no longer fits at all.
+            seed = pending.popleft()
+            seed_size, _ = measure(seed)
+            if (members or shared) and seed_size > free:
+                overflow.appendleft(seed)
+                break
+            cap: deque[Any] = deque([seed])
+            while cap:
+                handle = cap.popleft()
+                size, children = measure(handle)
+                if (members or shared) and size > free:
+                    overflow.append(handle)  # its subtree starts a later page
+                    continue
+                members.append((handle, size))
+                free -= size
+                cap.extend(children)
+        pending.extendleft(reversed(overflow))
+    return groups
+
+
+def _write_pages(
+    store: NodeStore,
+    groups: list[list[tuple[Any, int]]],
+    key_of: Callable[[Any], Any],
+    build: Callable[[Any, dict[Any, NodeRef]], Any],
+    tail: tuple[int, int] | None = None,
+) -> dict[Any, NodeRef]:
+    """Materialize planned groups into pages of ``store``, eviction-safely.
+
+    Every page id is reserved up front, so each node's final address is
+    known before anything is written; ``tail = (page_id, first_free_slot)``
+    makes group 0 continue that existing page. ``build(handle, position)``
+    returns the node to store, its children already wired through
+    ``position`` (``key_of(handle)`` -> final :class:`NodeRef`, which is
+    also what this function returns).
+
+    The eviction-safety rule: ``build`` may read through the buffer pool
+    and so evict *any* page, the destination included. A page's node list
+    is therefore built completely first; only then is the destination
+    fetched, appended to and marked dirty, with no pool access in between.
+    """
+    buffer = store.buffer
+    pages: list[int] = []
+    position: dict[Any, NodeRef] = {}
+    for members in groups:
+        if tail is not None and not pages:
+            page_id, base = tail
+        else:
+            page_id, base = buffer.new_page(_NodePagePayload()), 0
+            store.page_ids.append(page_id)
+        pages.append(page_id)
+        for slot, (handle, _size) in enumerate(members, base):
+            position[key_of(handle)] = NodeRef(page_id, slot)
+    for page_id, members in zip(pages, groups):
+        if not members:
+            continue  # a continuation page nothing fitted into
+        nodes = [build(handle, position) for handle, _size in members]
+        payload: _NodePagePayload = buffer.fetch(page_id)
+        payload.slots.extend(nodes)
+        for _handle, size in members:
+            payload.slot_bytes.append(size)
+            payload.used_bytes += size
+        buffer.mark_dirty(page_id)
+        store.num_nodes += len(members)
+    return position
+
+
 def pack_nodes(
     store: NodeStore, root: Any, children_of: Any
 ) -> NodeRef:
@@ -272,185 +376,31 @@ def pack_nodes(
 
     ``root`` is the root node object; ``children_of(node)`` returns an
     inner node's child node objects, aligned 1:1 with ``node.entries``
-    (entry ``i`` points at child ``i``). The function assigns every node
-    its final ``(page, slot)`` with the same BFS-cap planning as
-    :func:`repack`, wires each entry's child pointer, and writes each page
-    exactly once — the bulk-build fast path that skips the
-    create-incrementally-then-repack double write.
+    (entry ``i`` points at child ``i``). Every node gets the ``(page,
+    slot)`` that :func:`repack_subtree` would give it, each entry's child
+    pointer is wired, and each page is written exactly once — the
+    bulk-build fast path that skips the create-incrementally-then-repack
+    double write.
 
     Pages are appended to ``store``; returns the root's :class:`NodeRef`.
     """
-    from collections import deque
 
-    node_by_id: dict[int, Any] = {}
-    sizes: dict[int, int] = {}
-    kids: dict[int, list[Any]] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        nid = id(node)
-        node_by_id[nid] = node
-        sizes[nid] = node.approx_bytes()
-        kids[nid] = list(children_of(node))
-        stack.extend(kids[nid])
+    def measure(node: Any) -> tuple[int, Iterable[Any]]:
+        return node.approx_bytes(), children_of(node)
 
-    # BFS-cap planning, identical to repack(): fill each page with the
-    # breadth-first top of pending subtrees; uncovered frontier children
-    # seed later pages.
-    page_capacity = store.page_capacity
-    group_members: list[list[int]] = []
-    position: dict[int, tuple[int, int]] = {}
-    pending: deque[Any] = deque([root])
-    while pending:
-        group = len(group_members)
-        members: list[int] = []
-        group_members.append(members)
-        free = page_capacity
-        overflow: deque[Any] = deque()
-        while pending:
-            seed = pending.popleft()
-            if members and sizes[id(seed)] > free:
-                overflow.appendleft(seed)
-                break
-            cap: deque[Any] = deque([seed])
-            while cap:
-                node = cap.popleft()
-                nid = id(node)
-                if members and sizes[nid] > free:
-                    overflow.append(node)
-                    continue
-                position[nid] = (group, len(members))
-                members.append(nid)
-                free -= sizes[nid]
-                cap.extend(kids[nid])
-        pending.extendleft(reversed(overflow))
+    def wired(node: Any, position: dict[int, NodeRef]) -> Any:
+        if isinstance(node, InnerNode):
+            for entry, child in zip(node.entries, children_of(node)):
+                entry.child = position[id(child)]
+        return node
 
-    page_of_group = [
-        store.buffer.new_page(_NodePagePayload()) for _ in group_members
-    ]
-    store.page_ids.extend(page_of_group)
-
-    def _ref(node: Any) -> NodeRef:
-        group, slot = position[id(node)]
-        return NodeRef(page_of_group[group], slot)
-
-    for group, members in enumerate(group_members):
-        payload = _NodePagePayload()
-        for nid in members:
-            node = node_by_id[nid]
-            if isinstance(node, InnerNode):
-                for entry, child in zip(node.entries, kids[nid]):
-                    entry.child = _ref(child)
-            payload.slots.append(node)
-            payload.slot_bytes.append(sizes[nid])
-            payload.used_bytes += sizes[nid]
-            store.num_nodes += 1
-        store.buffer.update(page_of_group[group], payload)
-    return _ref(root)
-
-
-def repack(store: NodeStore, root: NodeRef) -> tuple[NodeStore, NodeRef]:
-    """Rewrite the tree rooted at ``root`` into a fresh, clustered NodeStore.
-
-    BFS-cap packing: each page is filled with the breadth-first top of one
-    (or, when space remains, several) pending subtrees until its byte budget
-    is exhausted; frontier children that did not make the cut become the
-    pending subtree roots of later pages. A root-to-leaf traversal crosses
-    one page per cap, giving the minimum-page-height behaviour of [12],
-    while seed-sharing keeps pages full.
-
-    Returns ``(new_store, new_root)`` over the same buffer pool. The caller
-    owns swapping them in and freeing the old pages.
-    """
-    # Phase 1 — plan: assign every node a (group, slot) position. Planning
-    # touches only local Python state, so buffer evictions during the walk
-    # are harmless.
-    from collections import deque
-
-    group_members: list[list[NodeRef]] = []
-    position: dict[NodeRef, tuple[int, int]] = {}
-    node_sizes: dict[NodeRef, int] = {}
-
-    page_capacity = store.page_capacity
-    pending: deque[NodeRef] = deque([root])
-    while pending:
-        group = len(group_members)
-        members: list[NodeRef] = []
-        group_members.append(members)
-        free = page_capacity
-        overflow: deque[NodeRef] = deque()
-        while pending:
-            # Pack the cap of the next pending subtree into this page; stop
-            # opening new caps once one of them no longer fits at all.
-            seed = pending.popleft()
-            seed_size = store.read(seed).approx_bytes()
-            if members and seed_size > free:
-                overflow.appendleft(seed)
-                break
-            cap: deque[NodeRef] = deque([seed])
-            while cap:
-                ref = cap.popleft()
-                node = store.read(ref)
-                size = node.approx_bytes()
-                node_sizes[ref] = size
-                if members and size > free:
-                    overflow.append(ref)  # its subtree starts a later page
-                    continue
-                position[ref] = (group, len(members))
-                members.append(ref)
-                free -= size
-                if isinstance(node, InnerNode):
-                    for entry in node.entries:
-                        if entry.child is not None:
-                            cap.append(entry.child)
-        pending.extendleft(reversed(overflow))
-
-    # Phase 2 — materialize: reserve page ids for every group, then build
-    # each page payload fully wired (children already know their final
-    # addresses) and write it in one shot. No mutate-after-write anywhere.
-    new_store = NodeStore(
-        store.buffer,
-        page_capacity=page_capacity,
-        use_node_cache=store.cache is not None,
-    )
-    page_of_group = [
-        new_store.buffer.new_page(_NodePagePayload()) for _ in group_members
-    ]
-    new_store.page_ids.extend(page_of_group)
-
-    def _new_ref(old: NodeRef) -> NodeRef:
-        group, slot = position[old]
-        return NodeRef(page_of_group[group], slot)
-
-    for group, members in enumerate(group_members):
-        payload = _NodePagePayload()
-        for ref in members:
-            node = store.read(ref)
-            if isinstance(node, InnerNode):
-                node = InnerNode(
-                    predicate=node.predicate,
-                    entries=[
-                        Entry(
-                            e.predicate,
-                            _new_ref(e.child) if e.child is not None else None,
-                        )
-                        for e in node.entries
-                    ],
-                )
-            else:
-                node = LeafNode(items=list(node.items))
-            payload.slots.append(node)
-            payload.slot_bytes.append(node_sizes[ref])
-            payload.used_bytes += node_sizes[ref]
-            new_store.num_nodes += 1
-        new_store.buffer.update(page_of_group[group], payload)
-
-    return new_store, _new_ref(root)
+    groups = _plan_pages(root, measure, store.page_capacity)
+    return _write_pages(store, groups, id, wired)[id(root)]
 
 
 @dataclass(frozen=True)
 class SubtreeRepackStats:
-    """What one online repack step moved and reclaimed."""
+    """What one repack step moved and reclaimed."""
 
     nodes_moved: int
     pages_allocated: int
@@ -462,12 +412,12 @@ def repack_subtree(
 ) -> tuple[NodeRef, SubtreeRepackStats]:
     """BFS-cap repack ONE subtree in place, inside the same store.
 
-    The online counterpart of :func:`repack`: the subtree under ``root``
-    is re-planned with the same BFS-cap packing, materialized into dense
+    The subtree under ``root`` is re-planned, materialized into dense
     pages appended to the *same* store, and only then are the old slots
     freed — so a crash at any point leaves either the old layout or (after
     the caller commits) the new one, never a half-moved tree. Pages left
-    with no live slots are released immediately.
+    with no live slots are released immediately. With the tree's root as
+    ``root`` this is the whole-tree clustering pass.
 
     Density across steps: the first new page continues the previous
     step's partially-filled tail page (``_repack_open_page_id``), so
@@ -477,125 +427,54 @@ def repack_subtree(
     Returns ``(new_root_ref, stats)``; the caller owns repairing the
     parent's downlink to ``new_root_ref`` before committing.
     """
-    from collections import deque
+    tail: tuple[int, int] | None = None
+    tail_room = 0
+    if store._repack_open_page_id in store.page_ids:
+        payload: _NodePagePayload = store.buffer.fetch(
+            store._repack_open_page_id
+        )
+        tail_room = max(store.page_capacity - payload.used_bytes, 0)
+        if tail_room:
+            tail = (store._repack_open_page_id, len(payload.slots))
 
-    page_capacity = store.page_capacity
+    def measure(ref: NodeRef) -> tuple[int, Iterable[NodeRef]]:
+        node = store.read(ref)
+        if not isinstance(node, InnerNode):
+            return node.approx_bytes(), ()
+        return node.approx_bytes(), [
+            e.child for e in node.entries if e.child is not None
+        ]
 
-    # Phase 1 — plan (group, slot) positions, BFS-cap. Group 0 may be a
-    # continuation of the previous step's tail page: its slot numbering
-    # starts past the live slots already there.
-    cont_page: int | None = store._repack_open_page_id
-    cont_base = 0
-    cont_free = 0
-    if cont_page is not None and cont_page in store.page_ids:
-        payload: _NodePagePayload = store.buffer.fetch(cont_page)
-        cont_base = len(payload.slots)
-        cont_free = page_capacity - payload.used_bytes
-        if cont_free <= 0:
-            cont_page = None
-    else:
-        cont_page = None
-
-    group_members: list[list[NodeRef]] = []
-    group_is_cont: list[bool] = []
-    position: dict[NodeRef, tuple[int, int]] = {}
-    node_sizes: dict[NodeRef, int] = {}
-    pending: deque[NodeRef] = deque([root])
-    use_cont = cont_page is not None  # consumed by the first group only
-    while pending:
-        group = len(group_members)
-        members: list[NodeRef] = []
-        group_members.append(members)
-        continuation, use_cont = use_cont, False
-        free = cont_free if continuation else page_capacity
-        overflow: deque[NodeRef] = deque()
-        while pending:
-            seed = pending.popleft()
-            seed_size = store.read(seed).approx_bytes()
-            if (members or continuation) and seed_size > free:
-                overflow.appendleft(seed)
-                break
-            cap: deque[NodeRef] = deque([seed])
-            while cap:
-                ref = cap.popleft()
-                node = store.read(ref)
-                size = node.approx_bytes()
-                node_sizes[ref] = size
-                if (members or continuation) and size > free:
-                    overflow.append(ref)
-                    continue
-                position[ref] = (group, len(members))
-                members.append(ref)
-                free -= size
-                if isinstance(node, InnerNode):
-                    for entry in node.entries:
-                        if entry.child is not None:
-                            cap.append(entry.child)
-        pending.extendleft(reversed(overflow))
-        if not members:
-            # Only a zero-room continuation page produces an empty group
-            # (a fresh page always admits its first seed). Drop it; no
-            # position ever pointed at it.
-            group_members.pop()
-        else:
-            group_is_cont.append(continuation)
-
-    # Phase 2 — materialize. New pages are reserved up front so children's
-    # final addresses are known before any payload is written.
-    page_of_group: list[int] = []
-    slot_base: list[int] = []
-    new_pages: list[int] = []
-    for group in range(len(group_members)):
-        if group_is_cont[group]:
-            page_of_group.append(cont_page)
-            slot_base.append(cont_base)
-        else:
-            page_id = store.buffer.new_page(_NodePagePayload())
-            store.page_ids.append(page_id)
-            page_of_group.append(page_id)
-            slot_base.append(0)
-            new_pages.append(page_id)
-
-    def _new_ref(old: NodeRef) -> NodeRef:
-        group, slot = position[old]
-        return NodeRef(page_of_group[group], slot_base[group] + slot)
-
-    for group, members in enumerate(group_members):
-        page_id = page_of_group[group]
-        payload = store.buffer.fetch(page_id)
-        for ref in members:
-            node = store.read(ref)
-            if isinstance(node, InnerNode):
-                node = InnerNode(
-                    predicate=node.predicate,
-                    entries=[
-                        Entry(
-                            e.predicate,
-                            _new_ref(e.child) if e.child is not None else None,
-                        )
-                        for e in node.entries
-                    ],
+    def relocated(ref: NodeRef, position: dict[NodeRef, NodeRef]) -> Any:
+        node = store.read(ref)
+        if not isinstance(node, InnerNode):
+            return LeafNode(items=list(node.items))
+        return InnerNode(
+            predicate=node.predicate,
+            entries=[
+                Entry(
+                    e.predicate,
+                    position[e.child] if e.child is not None else None,
                 )
-            else:
-                node = LeafNode(items=list(node.items))
-            payload.slots.append(node)
-            payload.slot_bytes.append(node_sizes[ref])
-            payload.used_bytes += node_sizes[ref]
-        store.buffer.mark_dirty(page_id)
+                for e in node.entries
+            ],
+        )
 
-    # Phase 3 — retire the old copies; node count is unchanged (every
-    # free() decrement is matched by one appended slot above).
-    store.num_nodes += len(position)
+    groups = _plan_pages(root, measure, store.page_capacity, tail_room)
+    position = _write_pages(store, groups, lambda ref: ref, relocated, tail)
+
+    # Retire the old copies; each free() takes back one of the num_nodes
+    # increments of the write above, so the node count is unchanged.
     for ref in position:
         store.free(ref)
     pages_freed = store.drop_empty_pages()
 
     # The densest continuation candidate for the next step is the last
     # page this step wrote (BFS-cap leaves its tail partially filled).
-    store._repack_open_page_id = page_of_group[-1] if page_of_group else None
+    store._repack_open_page_id = position[groups[-1][-1][0]].page_id
 
-    return _new_ref(root), SubtreeRepackStats(
+    return position[root], SubtreeRepackStats(
         nodes_moved=len(position),
-        pages_allocated=len(new_pages),
+        pages_allocated=len(groups) - (tail is not None),
         pages_freed=pages_freed,
     )

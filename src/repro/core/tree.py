@@ -22,7 +22,6 @@ from repro.obs import METRICS, span
 from repro.core.clustering import (
     NodeStore,
     pack_nodes,
-    repack,
     repack_subtree,
 )
 from repro.core.config import SPGiSTConfig
@@ -710,22 +709,26 @@ class SPGiSTIndex:
         return out[0]
 
     def repack(self) -> None:
-        """Rewrite node pages with the offline clustering algorithm."""
+        """Rewrite every node page with the clustering algorithm.
+
+        One :func:`repack_subtree` step over the whole tree. It neither
+        continues an earlier online step's tail page nor leaves one behind,
+        so the layout is that of a fresh bulk build.
+        """
         if self.root is None:
             return
-        old_store, old_root = self.store, self.root
-        self.store, self.root = repack(old_store, old_root)
-        for page_id in old_store.page_ids:
-            self.buffer.free_page(page_id)
-        old_store.detach()
+        store = self.store
+        store._repack_open_page_id = None
+        self.root, _step = repack_subtree(store, self.root)
+        store._repack_open_page_id = None
 
     def repack_online(
         self, max_subtrees: int | None = None
     ) -> OnlineRepackStats:
         """Re-cluster hot subtrees in place, in bounded per-subtree steps.
 
-        The online counterpart of :meth:`repack`: instead of rewriting the
-        whole tree into a fresh store (which needs an exclusive rebuild),
+        The bounded counterpart of :meth:`repack`: instead of moving the
+        whole tree in one step (one long exclusive hold),
         each *step* BFS-cap repacks one child subtree of the root inside
         the live store (:func:`repro.core.clustering.repack_subtree`) and
         repairs the root's downlink. Between steps the tree is always

@@ -34,8 +34,10 @@ from repro.engine.planner import (
     IndexScanPlan,
     NNIndexScanPlan,
     NNSortScanPlan,
+    OnDegrade,
     Plan,
     SeqScanPlan,
+    quarantine_index,
 )
 from repro.errors import IndexCorruptionError, PageChecksumError, PlannerError
 from repro.geometry.distance import (
@@ -43,38 +45,7 @@ from repro.geometry.distance import (
     hamming,
     point_to_segment_distance,
 )
-from repro.resilience.incidents import INCIDENTS
 from repro.settings import SETTINGS
-
-
-#: Signature of the optional degradation callback: (index, incident kind,
-#: exception). Called after the incident is recorded and the index
-#: quarantined, before the sequential-scan fallback starts.
-OnDegrade = Callable[[Any, str, Exception], None]
-
-
-def _quarantine(
-    index: Any,
-    incident: str,
-    exc: Exception,
-    on_degrade: OnDegrade | None = None,
-) -> None:
-    """Record the incident, quarantine the index, and purge its node cache.
-
-    Purging is what keeps the deserialized-node cache honest under
-    corruption: no live node object from the poisoned index survives into
-    later scans (the planner also stops choosing it, but belt-and-braces).
-    ``on_degrade`` lets a caller observe the degradation in-band — the
-    replication read router uses it to flag a standby whose index went bad
-    for resync instead of silently serving it degraded forever.
-    """
-    INCIDENTS.record(incident, index.name, exc)
-    index.quarantined = True
-    purge = getattr(index, "purge_node_cache", None)
-    if purge is not None:
-        purge()
-    if on_degrade is not None:
-        on_degrade(index, incident, exc)
 
 
 def execute_plan(
@@ -183,7 +154,7 @@ def _execute_index_scan(
         except StopIteration:
             return
         except (IndexCorruptionError, PageChecksumError) as exc:
-            _quarantine(plan.index, "index-scan-degraded", exc, on_degrade)
+            quarantine_index(plan.index, "index-scan-degraded", exc, on_degrade)
             break
         # Index entries point at every heap version; the snapshot-aware
         # fetch filters out the invisible ones (PostgreSQL's division of
@@ -264,7 +235,7 @@ def _pull_tid_chunk(
         for tid in islice(tids, batch_size):
             chunk.append(tid)
     except (IndexCorruptionError, PageChecksumError) as exc:
-        _quarantine(plan.index, incident, exc, on_degrade)
+        quarantine_index(plan.index, incident, exc, on_degrade)
         return chunk, True
     return chunk, False
 
@@ -376,7 +347,7 @@ def _execute_nn(
             except StopIteration:
                 return
             except (IndexCorruptionError, PageChecksumError) as exc:
-                _quarantine(plan.index, "nn-scan-degraded", exc, on_degrade)
+                quarantine_index(plan.index, "nn-scan-degraded", exc, on_degrade)
                 break
             row = plan.table.fetch(tid, snapshot)
             if row is not None:

@@ -14,7 +14,7 @@ sort-all sequential scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.engine.cost import (
     CostEstimate,
@@ -29,6 +29,7 @@ from repro.errors import (
     PageChecksumError,
     PlannerError,
 )
+from repro.resilience.incidents import INCIDENTS
 
 #: Operator names treated as nearest-neighbour (ordered) scans.
 NN_OPERATOR = "@@"
@@ -133,23 +134,43 @@ def plan_query(table: Table, predicate: Predicate | None) -> Plan:
         try:
             cost = _index_cost(index, stats, table, operator.restrict, predicate)
         except (IndexCorruptionError, PageChecksumError) as exc:
-            _quarantine(index, exc)
+            quarantine_index(index, "index-cost-degraded", exc)
             continue
         candidates.append(IndexScanPlan(table, predicate, cost, index=index))
     return min(candidates, key=lambda plan: plan.cost.total_cost)
 
 
-def _quarantine(index: TableIndex, error: Exception) -> None:
-    """Corruption surfaced while *costing* an index: sideline it.
+#: Signature of the optional degradation callback: (index, incident kind,
+#: exception). Called after the incident is recorded and the index
+#: quarantined, before the sequential-scan fallback starts.
+OnDegrade = Callable[[Any, str, Exception], None]
 
-    Cost estimation walks the index (page counts, page height), so it can
-    trip over a corrupt page before any scan starts. Record the incident
-    and quarantine the index so planning proceeds with the healthy paths.
+
+def quarantine_index(
+    index: Any,
+    incident: str,
+    exc: Exception,
+    on_degrade: OnDegrade | None = None,
+) -> None:
+    """Record the incident, quarantine the index, and purge its node cache.
+
+    The one way an index is sidelined, whether corruption surfaced while
+    *costing* it (cost estimation walks the index, so it can trip over a
+    corrupt page before any scan starts) or while the executor scanned it.
+    Purging is what keeps the deserialized-node cache honest under
+    corruption: no live node object from the poisoned index survives into
+    later scans (the planner also stops choosing it, but belt-and-braces).
+    ``on_degrade`` lets a caller observe the degradation in-band — the
+    replication read router uses it to flag a standby whose index went bad
+    for resync instead of silently serving it degraded forever.
     """
-    from repro.resilience.incidents import INCIDENTS
-
-    INCIDENTS.record("index-cost-degraded", index.name, error)
+    INCIDENTS.record(incident, index.name, exc)
     index.quarantined = True
+    purge = getattr(index, "purge_node_cache", None)
+    if purge is not None:
+        purge()
+    if on_degrade is not None:
+        on_degrade(index, incident, exc)
 
 
 def _plan_nn(table: Table, predicate: Predicate) -> Plan:
@@ -168,7 +189,7 @@ def _plan_nn(table: Table, predicate: Predicate) -> Plan:
                     operand=predicate.operand,
                 )
             except (IndexCorruptionError, PageChecksumError) as exc:
-                _quarantine(index, exc)
+                quarantine_index(index, "index-cost-degraded", exc)
                 continue
             return NNIndexScanPlan(table, predicate, cost, index=index)
     return NNSortScanPlan(

@@ -297,10 +297,10 @@ class Table:
         self.columns = columns
         self.buffer = buffer
         self.catalog = catalog
-        #: The cluster's transaction manager. ``None`` keeps the table in
-        #: the legacy single-version mode (every tuple frozen, physical
-        #: deletes); with a manager attached, scans and fetches filter by
-        #: snapshot visibility.
+        #: The cluster's transaction manager. ``None`` keeps the table
+        #: single-version and append-only (every tuple frozen; deletes and
+        #: updates need a manager); with one attached, scans and fetches
+        #: filter by snapshot visibility.
         self.txn = txn
         self.heap = HeapFile(buffer)
         self.indexes: dict[str, TableIndex] = {}
@@ -411,20 +411,6 @@ class Table:
         for index in self.indexes.values():
             index.purge_node_cache()
 
-    def delete_tid(self, tid: TupleId) -> tuple:
-        """Physically delete one row by TID from the heap and every index.
-
-        The legacy non-transactional path: index entries are removed
-        immediately and the version is gone. The MVCC path is
-        :meth:`mvcc_delete`.
-        """
-        row = self.heap.fetch(tid)
-        if row is None:
-            raise PlannerError(f"tuple {tid} is already deleted")
-        for index in self.indexes.values():
-            index.delete_row(tid, row)
-        return self.heap.delete(tid)
-
     def mvcc_delete(self, tid: TupleId, txn: Transaction) -> tuple:
         """DELETE under MVCC: stamp ``xmax``; indexes are left alone.
 
@@ -461,29 +447,6 @@ class Table:
         txn.touched.append(new_tid)
         return new_tid
 
-    def update_tid(self, tid: TupleId, new_row: tuple) -> None:
-        """Non-transactional in-place update with index maintenance.
-
-        Replaces the record at ``tid`` and atomically swaps the index
-        entries from the old key to the new one. The transactional SQL
-        UPDATE goes through :meth:`mvcc_update` instead.
-        """
-        if len(new_row) != len(self.columns):
-            raise ValueError(
-                f"row arity {len(new_row)} != table arity {len(self.columns)}"
-            )
-        old_row = self.heap.fetch(tid)
-        if old_row is None:
-            raise PlannerError(f"tuple {tid} is deleted")
-        self.heap.update(tid, new_row)
-        for index in self.indexes.values():
-            old_value = old_row[index.column_index]
-            new_value = new_row[index.column_index]
-            if old_value == new_value:
-                continue
-            index.delete_row(tid, old_row)
-            index.insert_row(tid, new_row)
-
     def current_snapshot(self) -> Snapshot | None:
         """A fresh read snapshot, or None without a transaction manager."""
         if self.txn is None:
@@ -497,7 +460,7 @@ class Table:
 
         Without an explicit snapshot, a table with a transaction manager
         reads through a fresh one; a manager-less table returns any stored
-        version (the legacy single-version behaviour).
+        version.
         """
         tup = self.heap.tuple_at(tid)
         if tup is None:
@@ -593,8 +556,8 @@ class Table:
         pages are truncated so ``num_pages`` can shrink. With a transaction
         manager attached, "dead" is decided by
         :meth:`TransactionManager.tuple_dead` against the oldest-snapshot
-        horizon; without one, there is nothing to reclaim (legacy deletes
-        are already physical). ``only_tids`` restricts the pass to the
+        horizon; without one, there is nothing to reclaim (no deletes
+        without a manager). ``only_tids`` restricts the pass to the
         given candidates (eager pruning after an autocommit statement).
         """
         dead: list[tuple[TupleId, tuple]] = []

@@ -30,9 +30,15 @@ most one node down at a time (the documented failure bound; see DESIGN.md
 from one integer seed, so any red run reproduces exactly from the seed the
 harness prints.
 
-CLI::
+This module also holds what the sibling harnesses share — the threaded
+session-server one (:mod:`~repro.resilience.chaos_mt`), the network-edge
+one (:mod:`~repro.resilience.chaos_net`) and the sharded-cluster one
+(:mod:`~repro.resilience.chaos_cluster`): the cross-thread accounting,
+the campaign runner, and the one CLI (``--threaded`` / ``--net`` /
+``--cluster`` pick the harness)::
 
     PYTHONPATH=src python -m repro.resilience.chaos --schedules 25 --seed 0
+    PYTHONPATH=src python -m repro.resilience.chaos --cluster --schedules 12
     PYTHONPATH=src python -m repro.resilience.chaos --seed 1234 --schedules 1 \\
         --transcript chaos-transcript.json   # replay one seed, keep evidence
 """
@@ -42,7 +48,8 @@ from __future__ import annotations
 import json
 import random
 import tempfile
-from typing import Any
+import threading
+from typing import Any, Callable
 
 from repro.replication import ReplicaSet
 from repro.resilience.check import spgist_check
@@ -367,115 +374,172 @@ def _verify(
             )
 
 
+class Shared:
+    """Cross-thread accounting for one schedule (one lock guards it all)."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.failures: list[str] = []
+        self.events: list[dict[str, Any]] = []
+        self.counts: dict[str, int] = {}
+
+    def fail(self, message: str) -> None:
+        """Record an invariant violation (turns the schedule red)."""
+        with self.lock:
+            self.failures.append(message)
+
+    def event(self, **fields: Any) -> None:
+        """Append one transcript event."""
+        with self.lock:
+            self.events.append(fields)
+
+    def bump(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to the named counter of the schedule's ``stats``."""
+        with self.lock:
+            self.counts[name] = self.counts.get(name, 0) + n
+
+
+def locked_shed(mgr: Any, rdb: Any, sql: str) -> Any:
+    """Standby read under the engine mutex.
+
+    Shed reads race the schedule's ticks, so the shed path takes the same
+    mutex statements do.
+    """
+    with mgr.engine_mutex:
+        return rdb.standby_reader(sql)
+
+
 def run_campaign(
-    schedules: int, base_seed: int = 0, steps: int = 32
+    schedules: int,
+    base_seed: int = 0,
+    schedule: Callable[..., dict[str, Any]] = run_schedule,
+    **params: Any,
 ) -> dict[str, Any]:
     """Run ``schedules`` seeded schedules; returns the campaign summary.
 
+    ``schedule`` is any harness's schedule function (this module's
+    :func:`run_schedule` by default) and ``params`` its keyword arguments.
     Schedule ``i`` uses seed ``base_seed + i``, so any failure reproduces
-    with ``run_schedule(that_seed)`` alone.
+    with ``schedule(that_seed, **params)`` alone. Every numeric entry of a
+    transcript's ``stats`` (and ``dedup``, where a harness reports it) is
+    summed into ``totals``.
     """
     failed: list[dict[str, Any]] = []
-    stats = {
-        "acked_rows": 0,
-        "aborted_rows": 0,
-        "failovers": 0,
-        "unacked_writes": 0,
-    }
+    totals: dict[str, int] = {}
     for i in range(schedules):
-        transcript = run_schedule(base_seed + i, steps=steps)
-        for key in stats:
-            stats[key] += transcript["stats"][key]
+        transcript = schedule(base_seed + i, **params)
+        for key, value in transcript["stats"].items():
+            totals[key] = totals.get(key, 0) + value
+        for key, value in transcript.get("dedup", {}).items():
+            totals[f"dedup_{key}"] = totals.get(f"dedup_{key}", 0) + value
         if not transcript["ok"]:
             failed.append(transcript)
     return {
         "schedules": schedules,
         "base_seed": base_seed,
-        "steps": steps,
+        **params,
         "failed": failed,
         "ok": not failed,
-        "totals": stats,
+        "totals": totals,
     }
 
 
+#: CLI flag -> (module, schedule function, {option: default}, default
+#: number of schedules). ``None`` is this module's replication harness.
+HARNESSES: dict[str | None, tuple[str, str, dict[str, int], int]] = {
+    None: (__name__, "run_schedule", {"steps": 32}, 25),
+    "threaded": (
+        "repro.resilience.chaos_mt", "run_threaded_schedule",
+        {"sessions": 16, "statements": 10}, 3,
+    ),
+    "net": (
+        "repro.resilience.chaos_net", "run_net_schedule",
+        {"clients": 4, "statements": 12}, 4,
+    ),
+    "cluster": (
+        "repro.resilience.chaos_cluster", "run_cluster_schedule",
+        {"ops": 40, "shards": 3}, 10,
+    ),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; exit 1 (with transcripts written) on any failure."""
+    """The one chaos CLI; exit 1 on any failing schedule.
+
+    ``--threaded`` / ``--net`` / ``--cluster`` pick the harness (default:
+    the replication harness of this module); every harness takes
+    ``--seed``, ``--schedules`` and ``--transcript`` plus its own sizing
+    options. ``--transcript`` writes the campaign summary, failing
+    transcripts included — or, for a one-schedule run, that schedule's
+    own transcript, green or red.
+    """
     import argparse
+    import importlib
     import sys
 
-    # ``--threaded`` switches to the multi-threaded session-server
-    # harness (concurrent writers/readers/VACUUM with deadlock and
-    # timeout injection); remaining arguments are forwarded to it.
-    forwarded = list(sys.argv[1:] if argv is None else argv)
-    if "--threaded" in forwarded:
-        from repro.resilience import chaos_mt
-
-        forwarded.remove("--threaded")
-        return chaos_mt.main(forwarded)
-    # ``--net`` switches to the network-edge harness (fault-tolerant
-    # client driver vs. a killing proxy, commit-window primary crashes,
-    # and graceful drain/restart under load).
-    if "--net" in forwarded:
-        from repro.resilience import chaos_net
-
-        forwarded.remove("--net")
-        return chaos_net.main(forwarded)
-    # ``--cluster`` switches to the sharded-cluster harness (whole-shard
-    # kills, 2PC coordinator crashes, splits, routed-read oracles).
-    if "--cluster" in forwarded:
-        from repro.resilience import chaos_cluster
-
-        forwarded.remove("--cluster")
-        return chaos_cluster.main(forwarded)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    picked = [flag for flag in HARNESSES if flag and f"--{flag}" in argv]
+    flag = picked[0] if picked else None
+    module, function, options, default_schedules = HARNESSES[flag]
+    schedule = getattr(importlib.import_module(module), function)
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    harness = parser.add_mutually_exclusive_group()
+    for name in HARNESSES:
+        if name:
+            harness.add_argument(f"--{name}", action="store_true")
     parser.add_argument(
         "--seed", type=int, default=0,
         help="base seed; schedule i runs with seed+i (default 0)",
     )
     parser.add_argument(
-        "--schedules", type=int, default=25,
-        help="number of seeded schedules to run (default 25)",
+        "--schedules", type=int, default=default_schedules,
+        help=f"seeded schedules to run (default {default_schedules})",
     )
-    parser.add_argument(
-        "--steps", type=int, default=32,
-        help="events per schedule (default 32)",
-    )
+    for name, default in options.items():
+        parser.add_argument(f"--{name}", type=int, default=default)
     parser.add_argument(
         "--transcript", default=None,
-        help="write failing schedule transcripts (or the summary) here",
+        help="write the campaign summary (one schedule: its transcript) here",
     )
     args = parser.parse_args(argv)
+    params = {name: getattr(args, name) for name in options}
 
-    summary = run_campaign(args.schedules, base_seed=args.seed, steps=args.steps)
-    totals = summary["totals"]
+    last: list[dict[str, Any]] = []
+
+    def recorded(seed: int, **kwargs: Any) -> dict[str, Any]:
+        last[:] = [schedule(seed, **kwargs)]
+        return last[0]
+
+    summary = run_campaign(args.schedules, args.seed, recorded, **params)
+    label = f"chaos --{flag}" if flag else "chaos"
+    sizing = "".join(
+        f" --{name} {value}"
+        for name, value in params.items()
+        if value != options[name]
+    )
     print(
-        f"chaos: {args.schedules} schedule(s) from seed {args.seed}: "
-        f"{totals['acked_rows']} acked rows, {totals['aborted_rows']} "
-        f"rolled-back rows, {totals['failovers']} failovers, "
-        f"{totals['unacked_writes']} in-doubt writes"
+        f"{label}: {args.schedules} schedule(s) from seed {args.seed}: "
+        + ", ".join(f"{k}={v}" for k, v in sorted(summary["totals"].items()))
     )
     for transcript in summary["failed"]:
         print(
             f"  FAILED seed={transcript['seed']}: "
-            f"{'; '.join(transcript['failures'])}"
+            f"{'; '.join(transcript['failures'][:5])}"
         )
         print(
-            f"  reproduce: python -m repro.resilience.chaos "
-            f"--seed {transcript['seed']} --schedules 1"
+            f"  reproduce: python -m repro.resilience.{label} "
+            f"--seed {transcript['seed']} --schedules 1{sizing}"
         )
-    if args.transcript and (summary["failed"] or args.schedules == 1):
-        payload = summary["failed"] or [
-            run_schedule(args.seed, steps=args.steps)
-        ]
+    if args.transcript:
+        payload = last[0] if args.schedules == 1 else summary
         with open(args.transcript, "w", encoding="utf-8") as f:
-            json.dump(payload if len(payload) > 1 else payload[0], f, indent=2,
-                      default=repr)
+            json.dump(payload, f, indent=2, default=repr)
             f.write("\n")
         print(f"wrote {args.transcript}")
     if summary["failed"]:
         return 1
-    print("chaos: all schedules green")
+    print(f"{label}: all schedules green")
     return 0
 
 

@@ -38,7 +38,6 @@ so one seed is one interleaving, replayable with ``--seed``.
 
 from __future__ import annotations
 
-import json
 import random
 import tempfile
 from typing import Any
@@ -446,74 +445,3 @@ def run_cluster_schedule(
         with tempfile.TemporaryDirectory(prefix="chaos-cluster-") as tmp:
             return run_cluster_schedule(seed, ops=ops, shards=shards, directory=tmp)
     return _Schedule(seed, ops, shards).run(directory)
-
-
-def run_cluster_campaign(
-    schedules: int, base_seed: int = 0, ops: int = 40, shards: int = 3
-) -> dict[str, Any]:
-    """Run ``schedules`` seeded schedules; chaos-style summary."""
-    failed: list[dict[str, Any]] = []
-    totals: dict[str, int] = {}
-    for i in range(schedules):
-        transcript = run_cluster_schedule(base_seed + i, ops=ops, shards=shards)
-        for key, value in transcript["stats"].items():
-            totals[key] = totals.get(key, 0) + value
-        if not transcript["ok"]:
-            failed.append(transcript)
-    return {
-        "schedules": schedules,
-        "base_seed": base_seed,
-        "ops": ops,
-        "shards": shards,
-        "failed": failed,
-        "ok": not failed,
-        "totals": totals,
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; exit 1 (with transcripts written) on any failure."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--schedules", type=int, default=10)
-    parser.add_argument("--ops", type=int, default=40)
-    parser.add_argument("--shards", type=int, default=3)
-    parser.add_argument(
-        "--transcript", default=None,
-        help="write the campaign summary (and failures) here",
-    )
-    args = parser.parse_args(argv)
-
-    summary = run_cluster_campaign(
-        args.schedules, base_seed=args.seed, ops=args.ops, shards=args.shards
-    )
-    totals = summary["totals"]
-    print(
-        f"chaos-cluster: {args.schedules} schedule(s), {args.shards} shards: "
-        f"{totals.get('writes_acked_multi', 0)} acked 2PC txns, "
-        f"{totals.get('writes_acked_single', 0)} single-shard, "
-        f"{totals.get('coordinator_crash_committed', 0)}+"
-        f"{totals.get('coordinator_crash_aborted', 0)} coordinator crashes, "
-        f"{totals.get('shard_kills', 0)} shard kills, "
-        f"{totals.get('primary_kills', 0)} primary kills, "
-        f"{totals.get('splits', 0)} splits, "
-        f"{totals.get('point_reads', 0)}+{totals.get('scatter_reads', 0)}"
-        f"+{totals.get('nn_reads', 0)} reads"
-    )
-    for transcript in summary["failed"]:
-        print(f"  FAILED seed={transcript['seed']}: "
-              f"{'; '.join(transcript['failures'][:5])}")
-        print(f"  reproduce: python -m repro.resilience.chaos_cluster "
-              f"--seed {transcript['seed']} --schedules 1 "
-              f"--ops {args.ops} --shards {args.shards}")
-    if args.transcript:
-        with open(args.transcript, "w") as fh:
-            json.dump(summary, fh, indent=2, default=str)
-        print(f"transcript written to {args.transcript}")
-    return 0 if summary["ok"] else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -42,7 +42,6 @@ happened so a red run can be studied.
 
 from __future__ import annotations
 
-import json
 import random
 import tempfile
 import threading
@@ -59,6 +58,7 @@ from repro.errors import (
     TxnError,
 )
 from repro.replication import ReplicaSet
+from repro.resilience.chaos import Shared, locked_shed
 from repro.resilience.check import spgist_check
 from repro.server import ReplicatedDatabase, SessionManager
 from repro.server.session import Session
@@ -83,29 +83,7 @@ def _key_literal(type_name: str, n: int) -> str:
     return f"'({n % 90},{n // 90 % 90})'"
 
 
-class _Shared:
-    """Cross-thread accounting for one schedule (all guarded by one lock)."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.failures: list[str] = []
-        self.events: list[dict[str, Any]] = []
-        self.counts: dict[str, int] = {}
-
-    def fail(self, message: str) -> None:
-        with self.lock:
-            self.failures.append(message)
-
-    def event(self, **fields: Any) -> None:
-        with self.lock:
-            self.events.append(fields)
-
-    def bump(self, name: str, n: int = 1) -> None:
-        with self.lock:
-            self.counts[name] = self.counts.get(name, 0) + n
-
-
-def _with_backoff(fn, shared: _Shared, rng: random.Random, attempts: int = 40):
+def _with_backoff(fn, shared: Shared, rng: random.Random, attempts: int = 40):
     """Run ``fn`` retrying ServerOverloadedError with jittered backoff.
 
     This is the client half of admission control: rejected work backs
@@ -131,7 +109,7 @@ def _replicated_writer(
     sid: int,
     statements: int,
     seed: int,
-    shared: _Shared,
+    shared: Shared,
     acked: dict[str, int],
     aborted: set[str],
 ) -> None:
@@ -187,7 +165,7 @@ def _replicated_reader(
     sid: int,
     statements: int,
     seed: int,
-    shared: _Shared,
+    shared: Shared,
     acked: dict[str, int],
     aborted: set[str],
 ) -> None:
@@ -236,7 +214,7 @@ def _replicated_reader(
 
 def _replicated_vacuumer(
     mgr: SessionManager, session: Session, sid: int, statements: int,
-    seed: int, shared: _Shared,
+    seed: int, shared: Shared,
 ) -> None:
     rng = random.Random(seed * 1009 + sid)
     for _ in range(max(2, statements // 4)):
@@ -255,7 +233,7 @@ def _replicated_vacuumer(
 def _failover_controller(
     rs: ReplicaSet,
     mgr: SessionManager,
-    shared: _Shared,
+    shared: Shared,
     done: threading.Event,
     crash_after: float,
 ) -> None:
@@ -288,7 +266,7 @@ def _local_writer(
     sid: int,
     statements: int,
     seed: int,
-    shared: _Shared,
+    shared: Shared,
     tracks: dict[str, dict[str, set[int]]],
 ) -> None:
     rng = random.Random(seed * 1009 + sid)
@@ -363,7 +341,7 @@ def _local_reader(
     sid: int,
     statements: int,
     seed: int,
-    shared: _Shared,
+    shared: Shared,
     tracks: dict[str, dict[str, set[int]]],
 ) -> None:
     rng = random.Random(seed * 1009 + sid)
@@ -408,7 +386,7 @@ def _local_reader(
 
 def _local_vacuumer(
     mgr: SessionManager, session: Session, sid: int, statements: int,
-    seed: int, shared: _Shared,
+    seed: int, shared: Shared,
 ) -> None:
     rng = random.Random(seed * 1009 + sid)
     for _ in range(max(2, statements // 4)):
@@ -431,7 +409,7 @@ def _deadlock_injector(
     second: str,
     barrier: threading.Barrier,
     rounds: int,
-    shared: _Shared,
+    shared: Shared,
 ) -> None:
     """Half of a guaranteed deadlock: opposite-order row updates.
 
@@ -476,7 +454,7 @@ def _timeout_injector(
     holder: Session,
     victim: Session,
     rounds: int,
-    shared: _Shared,
+    shared: Shared,
 ) -> None:
     """Deterministic lock-wait timeouts: a holder parks on a row while a
     victim waits with a tiny lock (then statement) deadline."""
@@ -541,7 +519,7 @@ def run_threaded_schedule(
                 directory=tmp, failover=failover,
             )
 
-    shared = _Shared()
+    shared = Shared()
     transcript: dict[str, Any] = {
         "seed": seed,
         "sessions": sessions,
@@ -563,7 +541,7 @@ def run_threaded_schedule(
     rmgr = SessionManager(rdb, settings=settings)
     # Standby reads race the controller's ticks, so the shed path takes
     # the same engine mutex statements do.
-    rmgr.shed_reader = lambda sql: _locked_shed(rmgr, rdb, sql)
+    rmgr.shed_reader = lambda sql: locked_shed(rmgr, rdb, sql)
 
     # -- local side setup ------------------------------------------------------
     ldb = Database()
@@ -680,17 +658,12 @@ def run_threaded_schedule(
     return transcript
 
 
-def _locked_shed(mgr: SessionManager, rdb: ReplicatedDatabase, sql: str):
-    with mgr.engine_mutex:
-        return rdb.standby_reader(sql)
-
-
 def _verify_replicated(
     rs: ReplicaSet,
     mgr: SessionManager,
     acked: dict[str, int],
     aborted: set[str],
-    shared: _Shared,
+    shared: Shared,
 ) -> None:
     """Post-schedule: every acked row present, no aborted row anywhere,
     spgist_check clean on the whole set."""
@@ -727,7 +700,7 @@ def _verify_local(
     db: Database,
     mgr: SessionManager,
     tracks: dict[str, dict[str, set[int]]],
-    shared: _Shared,
+    shared: Shared,
 ) -> None:
     session = mgr.connect("verify-local")
     try:
@@ -754,78 +727,3 @@ def _verify_local(
                 )
     finally:
         mgr.disconnect(session)
-
-
-def run_threaded_campaign(
-    schedules: int,
-    base_seed: int = 0,
-    sessions: int = 16,
-    statements: int = 10,
-) -> dict[str, Any]:
-    """Run ``schedules`` seeded threaded schedules; summary like chaos.py."""
-    failed: list[dict[str, Any]] = []
-    totals: dict[str, int] = {}
-    for i in range(schedules):
-        transcript = run_threaded_schedule(
-            base_seed + i, sessions=sessions, statements=statements
-        )
-        for key, value in transcript["stats"].items():
-            totals[key] = totals.get(key, 0) + value
-        if not transcript["ok"]:
-            failed.append(transcript)
-    return {
-        "schedules": schedules,
-        "base_seed": base_seed,
-        "sessions": sessions,
-        "statements": statements,
-        "failed": failed,
-        "ok": not failed,
-        "totals": totals,
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; exit 1 (with transcripts written) on any failure."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--schedules", type=int, default=3)
-    parser.add_argument("--sessions", type=int, default=16)
-    parser.add_argument("--statements", type=int, default=10)
-    parser.add_argument(
-        "--transcript", default=None,
-        help="write failing transcripts (or the summary) here",
-    )
-    args = parser.parse_args(argv)
-
-    summary = run_threaded_campaign(
-        args.schedules,
-        base_seed=args.seed,
-        sessions=args.sessions,
-        statements=args.statements,
-    )
-    totals = summary["totals"]
-    print(
-        f"chaos-mt: {args.schedules} schedule(s), {args.sessions} sessions: "
-        f"{totals.get('replicated_acked', 0) + totals.get('local_acked', 0)} "
-        f"acked, {totals.get('deadlocks', 0)} deadlocks, "
-        f"{totals.get('lock_timeouts', 0)}+{totals.get('statement_timeouts', 0)} "
-        f"timeouts, {totals.get('failovers', 0)} failovers, "
-        f"{totals.get('shed', 0)} shed reads"
-    )
-    for transcript in summary["failed"]:
-        print(f"  FAILED seed={transcript['seed']}: "
-              f"{'; '.join(transcript['failures'][:5])}")
-        print(f"  reproduce: python -m repro.resilience.chaos_mt "
-              f"--seed {transcript['seed']} --schedules 1 "
-              f"--sessions {args.sessions} --statements {args.statements}")
-    if args.transcript and (summary["failed"] or args.schedules == 1):
-        with open(args.transcript, "w") as fh:
-            json.dump(summary, fh, indent=2, default=str)
-        print(f"transcript written to {args.transcript}")
-    return 0 if summary["ok"] else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -46,7 +46,6 @@ the invariants must hold under all of them.
 
 from __future__ import annotations
 
-import json
 import random
 import socket
 import tempfile
@@ -61,33 +60,12 @@ from repro.errors import (
     RetriesExceededError,
 )
 from repro.replication import ReplicaSet
+from repro.resilience.chaos import Shared, locked_shed
 from repro.resilience.check import spgist_check
 from repro.server import ReplicatedDatabase, SessionManager
 from repro.server.manager import DedupCache
 from repro.server.net import SQLServer
 from repro.settings import SETTINGS
-
-
-class _Shared:
-    """Cross-thread accounting for one schedule (one lock guards it all)."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.failures: list[str] = []
-        self.events: list[dict[str, Any]] = []
-        self.counts: dict[str, int] = {}
-
-    def fail(self, message: str) -> None:
-        with self.lock:
-            self.failures.append(message)
-
-    def event(self, **fields: Any) -> None:
-        with self.lock:
-            self.events.append(fields)
-
-    def bump(self, name: str, n: int = 1) -> None:
-        with self.lock:
-            self.counts[name] = self.counts.get(name, 0) + n
 
 
 class FlakyProxy:
@@ -106,7 +84,7 @@ class FlakyProxy:
         self,
         upstream: tuple[str, int],
         rng: random.Random,
-        shared: _Shared,
+        shared: Shared,
         drop_request: float = 0.04,
         drop_response: float = 0.04,
     ) -> None:
@@ -211,7 +189,7 @@ def _client_worker(
     cid: int,
     statements: int,
     seed: int,
-    shared: _Shared,
+    shared: Shared,
     acked: dict[str, int],
     acked_pairs: list[str],
     attempted: set[str],
@@ -279,7 +257,7 @@ def _client_worker(
 def _tick_pump(
     rs: ReplicaSet,
     holder: dict[str, Any],
-    shared: _Shared,
+    shared: Shared,
     done: threading.Event,
 ) -> None:
     """Keep the replica set's clock moving so failover can complete."""
@@ -303,7 +281,7 @@ def _tick_pump(
 def _arm_commit_fault(
     rdb: ReplicatedDatabase,
     rs: ReplicaSet,
-    shared: _Shared,
+    shared: Shared,
     after: float,
 ) -> None:
     """After a delay, make the *next commit* crash the primary between
@@ -326,7 +304,7 @@ def _drain_and_restart(
     dedup: DedupCache,
     proxy: FlakyProxy,
     settings,
-    shared: _Shared,
+    shared: Shared,
     after: float,
 ) -> None:
     """Gracefully drain the server under load, then hand its endpoint to
@@ -337,17 +315,12 @@ def _drain_and_restart(
     shared.event(action="drain", **stats)
     shared.bump("drains")
     new_mgr = SessionManager(rdb, settings=settings, dedup=dedup)
-    new_mgr.shed_reader = lambda sql: _locked_shed(new_mgr, rdb, sql)
+    new_mgr.shed_reader = lambda sql: locked_shed(new_mgr, rdb, sql)
     new_srv = SQLServer(new_mgr).start()
     holder["mgr"] = new_mgr
     holder["srv"] = new_srv
     proxy.set_upstream(new_srv.address)
     shared.event(action="restart", port=new_srv.address[1])
-
-
-def _locked_shed(mgr: SessionManager, rdb: ReplicatedDatabase, sql: str):
-    with mgr.engine_mutex:
-        return rdb.standby_reader(sql)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +348,7 @@ def run_net_schedule(
     if scenario is None:
         scenario = "crash" if seed % 2 == 0 else "drain"
 
-    shared = _Shared()
+    shared = Shared()
     transcript: dict[str, Any] = {
         "seed": seed,
         "clients": clients,
@@ -396,7 +369,7 @@ def run_net_schedule(
     rdb = ReplicatedDatabase(rs)
     dedup = DedupCache(settings.dedup_cache_size)
     mgr = SessionManager(rdb, settings=settings, dedup=dedup)
-    mgr.shed_reader = lambda sql: _locked_shed(mgr, rdb, sql)
+    mgr.shed_reader = lambda sql: locked_shed(mgr, rdb, sql)
     srv = SQLServer(mgr).start()
     holder: dict[str, Any] = {"mgr": mgr, "srv": srv}
 
@@ -479,7 +452,7 @@ def run_net_schedule(
 def _verify(
     rs: ReplicaSet,
     mgr: SessionManager,
-    shared: _Shared,
+    shared: Shared,
     acked: dict[str, int],
     acked_pairs: list[str],
     attempted: set[str],
@@ -529,83 +502,3 @@ def _verify(
                 shared.fail(
                     f"spgist_check failed on {node.name}: {report.describe()}"
                 )
-
-
-def run_net_campaign(
-    schedules: int,
-    base_seed: int = 0,
-    clients: int = 4,
-    statements: int = 12,
-) -> dict[str, Any]:
-    """Run ``schedules`` seeded network-edge schedules; chaos-style summary."""
-    failed: list[dict[str, Any]] = []
-    totals: dict[str, int] = {}
-    for i in range(schedules):
-        transcript = run_net_schedule(
-            base_seed + i, clients=clients, statements=statements
-        )
-        for key, value in transcript["stats"].items():
-            totals[key] = totals.get(key, 0) + value
-        for key, value in transcript["dedup"].items():
-            totals[f"dedup_{key}"] = totals.get(f"dedup_{key}", 0) + value
-        if not transcript["ok"]:
-            failed.append(transcript)
-    return {
-        "schedules": schedules,
-        "base_seed": base_seed,
-        "clients": clients,
-        "statements": statements,
-        "failed": failed,
-        "ok": not failed,
-        "totals": totals,
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; exit 1 (with transcripts written) on any failure."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--schedules", type=int, default=4)
-    parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--statements", type=int, default=12)
-    parser.add_argument(
-        "--transcript", default=None,
-        help="write failing transcripts (or the summary) here",
-    )
-    args = parser.parse_args(argv)
-
-    summary = run_net_campaign(
-        args.schedules,
-        base_seed=args.seed,
-        clients=args.clients,
-        statements=args.statements,
-    )
-    totals = summary["totals"]
-    print(
-        f"chaos-net: {args.schedules} schedule(s), {args.clients} clients: "
-        f"{totals.get('acked_writes', 0)} acked writes, "
-        f"{totals.get('acked_txns', 0)} acked txns, "
-        f"{totals.get('proxy_dropped_requests', 0)}+"
-        f"{totals.get('proxy_dropped_responses', 0)} wire kills, "
-        f"{totals.get('dedup_hits', 0)} dedup hits, "
-        f"{totals.get('commit_fault_crashes', 0)} commit-window crashes, "
-        f"{totals.get('drains', 0)} drains, "
-        f"{totals.get('indoubt', 0)} in-doubt"
-    )
-    for transcript in summary["failed"]:
-        print(f"  FAILED seed={transcript['seed']}: "
-              f"{'; '.join(transcript['failures'][:5])}")
-        print(f"  reproduce: python -m repro.resilience.chaos_net "
-              f"--seed {transcript['seed']} --schedules 1 "
-              f"--clients {args.clients} --statements {args.statements}")
-    if args.transcript and (summary["failed"] or args.schedules >= 1):
-        with open(args.transcript, "w") as fh:
-            json.dump(summary, fh, indent=2, default=str)
-        print(f"transcript written to {args.transcript}")
-    return 0 if summary["ok"] else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

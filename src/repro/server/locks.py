@@ -123,8 +123,8 @@ class _Waiter:
         self.upgrade = upgrade
         self.granted = False
         self.doomed = False
-        #: condition this waiter blocks on; per-waiter by default so a
-        #: grant/doom wakes exactly one thread, shared in broadcast mode.
+        #: condition this waiter alone blocks on, so a grant/doom wakes
+        #: exactly one thread.
         self.cv = cv
 
 
@@ -137,16 +137,11 @@ class LockManager:
     (sharing that mutex), so a release wakes only the waiters whose
     verdict actually changed — with N sessions parked, a grant is one
     targeted ``notify()``, not an N-thread thundering herd that mostly
-    re-checks state and goes back to sleep. Pass ``broadcast=True`` to
-    restore the legacy single-condition ``notify_all`` behaviour (kept
-    for the wait-path micro-benchmark; see ``bench/bench_8.py``).
+    re-checks state and goes back to sleep.
     """
 
-    def __init__(self, *, broadcast: bool = False) -> None:
+    def __init__(self) -> None:
         self._mutex = threading.Lock()
-        #: shared condition — broadcast mode only (all waiters park here)
-        self._cv = threading.Condition(self._mutex)
-        self._broadcast = broadcast
         #: key -> {owner: granted mode}
         self._holders: dict[Hashable, dict[LockOwner, LockMode]] = {}
         #: key -> FIFO list of waiters (upgrades at the head)
@@ -206,8 +201,9 @@ class LockManager:
                 self._refresh_gauges()
                 return
 
-            cv = self._cv if self._broadcast else threading.Condition(self._mutex)
-            waiter = _Waiter(owner, mode, upgrade, cv)
+            waiter = _Waiter(
+                owner, mode, upgrade, threading.Condition(self._mutex)
+            )
             queue = self._queues.setdefault(key, [])
             # Upgrades go to the head: the upgrader already holds the key,
             # so anything queued ahead of it could never be granted anyway.
@@ -318,14 +314,6 @@ class LockManager:
 
     # -- internals (call with self._mutex held) --------------------------------
 
-    def _notify(self, waiter: _Waiter) -> None:
-        """Wake exactly the thread parked on ``waiter`` (all, in broadcast
-        mode — every waiter then shares ``self._cv``)."""
-        if self._broadcast:
-            self._cv.notify_all()
-        else:
-            waiter.cv.notify()
-
     def _grantable(
         self, key: Hashable, owner: LockOwner, mode: LockMode, *, upgrade: bool
     ) -> bool:
@@ -370,7 +358,7 @@ class LockManager:
             if ok:
                 self._grant(key, waiter.owner, waiter.mode)
                 waiter.granted = True
-                self._notify(waiter)
+                waiter.cv.notify()
                 remaining.append(waiter)
             else:
                 blocked = True
@@ -452,7 +440,7 @@ class LockManager:
             for waiter in queue:
                 if waiter.owner == victim and not waiter.granted:
                     waiter.doomed = True
-                    self._notify(waiter)
+                    waiter.cv.notify()
 
     def _refresh_gauges(self) -> None:
         LOCKS_HELD.set(sum(len(h) for h in self._holders.values()))

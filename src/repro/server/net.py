@@ -3,16 +3,14 @@
 The wire format is deliberately tiny — the point is the machinery behind
 it, not the protocol:
 
-- Client sends one request per line. Two request shapes are accepted:
-
-  * a bare UTF-8 SQL statement (the PR 6 legacy form), or
-  * a JSON object ``{"sql": "...", "key": "...", "timeout": 1.5}`` — the
-    fault-tolerant driver's form. ``key`` is an idempotency key for
-    exactly-once autocommit writes (the server dedup cache absorbs
-    re-sends after a lost ack); ``timeout`` is the client's remaining
-    deadline budget in seconds, propagated into the server statement
-    deadline so queue wait counts too. ``{"op": "ping"}`` is a health
-    probe answered with ``{"ok": true, "pong": true}``.
+- Client sends one request per line: a JSON object
+  ``{"sql": "...", "key": "...", "timeout": 1.5}``. The optional ``key``
+  is an idempotency key for exactly-once autocommit writes (the server
+  dedup cache absorbs re-sends after a lost ack); the optional
+  ``timeout`` is the client's remaining deadline budget in seconds,
+  propagated into the server statement deadline so queue wait counts
+  too. ``{"op": "ping"}`` is a health probe answered with
+  ``{"ok": true, "pong": true}``.
 
 - Server replies with exactly one JSON line:
   ``{"ok": true, "rows": [...]}`` for row sets,
@@ -27,8 +25,8 @@ it, not the protocol:
   closing the connection rolls the transaction back and drops its locks.
 
 Framing is hardened: lines longer than ``SETTINGS.max_message_bytes``,
-mid-frame EOFs, and malformed JSON request objects surface as a typed
-:class:`~repro.errors.ProtocolError` (and never execute a partial
+mid-frame EOFs, and lines that are not a JSON request object surface as a
+typed :class:`~repro.errors.ProtocolError` (and never execute a partial
 statement) instead of a hang or a raw ``json`` traceback.
 
 Errors carry their exception class name so :class:`SQLClient` can
@@ -89,11 +87,9 @@ def _encode_error(exc: BaseException, close: bool = False) -> str:
 def _parse_request(line: str) -> dict[str, Any]:
     """One request line -> ``{"sql"|"op": ..., "key": ..., "timeout": ...}``.
 
-    Raises :class:`ProtocolError` on malformed JSON frames; a line that
-    does not start with ``{`` is the legacy bare-SQL form.
+    Raises :class:`ProtocolError` on anything that is not a well-formed
+    JSON request object (a bare SQL line included); nothing is executed.
     """
-    if not line.startswith("{"):
-        return {"sql": line}
     try:
         frame = json.loads(line)
     except ValueError as exc:
@@ -331,20 +327,14 @@ class SQLClient:
         """Run one statement; returns rows (list) or a status string.
 
         ``key`` stamps the statement with an idempotency key; ``timeout``
-        propagates a deadline budget (seconds) to the server. Either one
-        switches the request to the JSON frame; bare SQL keeps the legacy
-        form so old servers still interoperate.
+        propagates a deadline budget (seconds) to the server.
         """
-        if key is None and timeout is None:
-            frame = sql.strip()
-        else:
-            payload: dict[str, Any] = {"sql": sql.strip()}
-            if key is not None:
-                payload["key"] = key
-            if timeout is not None:
-                payload["timeout"] = timeout
-            frame = json.dumps(payload)
-        self._write_line(frame)
+        payload: dict[str, Any] = {"sql": sql.strip()}
+        if key is not None:
+            payload["key"] = key
+        if timeout is not None:
+            payload["timeout"] = timeout
+        self._write_line(json.dumps(payload))
         return self._read_response()
 
     def ping(self) -> bool:

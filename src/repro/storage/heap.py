@@ -11,8 +11,8 @@ transaction-agnostic: it stores and stamps versions, while visibility
 decisions live in :mod:`repro.engine.txn` and are applied by the table and
 executor layers. Three delete flavours coexist:
 
-- :meth:`delete` — the legacy physical tombstone (non-transactional
-  callers; the slot is dead immediately);
+- :meth:`delete` — the physical tombstone (the slot is dead
+  immediately; tests use it as the reference delete);
 - :meth:`mark_deleted` — the MVCC delete: stamps ``xmax`` and leaves the
   version in place for older snapshots;
 - :meth:`reclaim` — VACUUM's primitive: tombstones a version proven dead
@@ -141,9 +141,8 @@ class HeapFile:
     def delete(self, tid: TupleId) -> Any:
         """Physically tombstone the tuple at ``tid``; return its record.
 
-        The non-transactional path: the version is gone immediately. The
-        caller is responsible for index maintenance (as
-        :meth:`repro.engine.table.Table.delete_tid` is).
+        The version is gone immediately, for every snapshot; the caller
+        is responsible for index maintenance.
         """
         tup = self.tuple_at(tid)
         if tup is None:
@@ -211,23 +210,6 @@ class HeapFile:
             ]
             self._free_slot_set = set(self._free_slots)
         return released
-
-    def update(self, tid: TupleId, record: Any) -> None:
-        """In-place update when the new record fits the page budget.
-
-        Non-transactional (the MVCC path inserts a new version instead);
-        the version stamps are preserved.
-        """
-        payload: _HeapPagePayload = self.buffer.fetch(tid.page_id)
-        old = payload.slots[tid.slot]
-        if old is None:
-            raise StorageError(f"tuple {tid} is deleted")
-        delta = approx_size(record) - approx_size(old.record)
-        if payload.used_bytes + delta > PAGE_CAPACITY:
-            raise StorageError("updated record does not fit its page")
-        old.record = record
-        payload.used_bytes += delta
-        self.buffer.mark_dirty(tid.page_id)
 
     # -- access -------------------------------------------------------------------
 

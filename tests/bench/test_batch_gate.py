@@ -10,7 +10,7 @@ in-process and fails when
 - ``repack_online`` no longer restores a churn-degraded index to the
   required fill factor, or breaks the tree while doing it,
 - the per-waiter lock wait path has stopped waking strictly fewer threads
-  than the legacy broadcast design, or
+  than the removed broadcast design did (its count is in BENCH_8.json), or
 - the committed full-scale report no longer claims the acceptance
   headline.
 """
@@ -114,7 +114,11 @@ class TestBatchPathRegression:
         assert repack["missing_after_repack"] == 0
         assert repack["pages_freed"] > 0
 
-    def test_per_waiter_wakes_fewer_now(self):
-        locks = run_locks(threads=6, rounds=30)
-        assert locks["per_waiter"]["wakeups"] < locks["broadcast"]["wakeups"]
-        assert locks["per_waiter"]["grants"] == locks["broadcast"]["grants"]
+    def test_per_waiter_wakes_fewer_now(self, committed):
+        # Same storm as the committed run, whose broadcast arm recorded
+        # what waking every parked waiter on every release costs.
+        recorded = committed["locks"]
+        locks = run_locks(recorded["threads"], recorded["rounds"])
+        assert locks["per_waiter"]["wakeups"] < recorded["broadcast"]["wakeups"]
+        assert locks["per_waiter"]["wakeups"] <= locks["per_waiter"]["waits"]
+        assert locks["per_waiter"]["grants"] == recorded["broadcast"]["grants"]

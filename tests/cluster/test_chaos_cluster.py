@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.resilience.chaos_cluster import (
-    run_cluster_campaign,
-    run_cluster_schedule,
-)
+from repro.resilience.chaos import run_campaign
+from repro.resilience.chaos_cluster import run_cluster_schedule
 
 
 def _describe(summary):
@@ -24,7 +22,9 @@ def _describe(summary):
 
 class TestClusterChaosFast:
     def test_small_campaign_holds_invariants(self):
-        summary = run_cluster_campaign(4, base_seed=0, ops=30, shards=3)
+        summary = run_campaign(
+            4, base_seed=0, schedule=run_cluster_schedule, ops=30, shards=3
+        )
         assert summary["ok"], _describe(summary)
         # the campaign actually exercised the distributed machinery
         totals = summary["totals"]
@@ -44,5 +44,7 @@ class TestClusterChaosAcceptance:
     def test_hundred_schedule_acceptance(self):
         """ISSUE 10 acceptance: 100 schedules, zero lost acked commits,
         zero dirty cross-shard reads, clean spgist_check throughout."""
-        summary = run_cluster_campaign(100, base_seed=0, ops=40, shards=3)
+        summary = run_campaign(
+            100, base_seed=0, schedule=run_cluster_schedule, ops=40, shards=3
+        )
         assert summary["ok"], _describe(summary)

@@ -2,12 +2,22 @@
 
 import pytest
 
-from repro.core import Entry, InnerNode, LeafNode, NodeRef
-from repro.core.clustering import NodeStore, repack
+from repro.core import Entry, InnerNode, LeafNode
+from repro.core.clustering import NodeStore
 from repro.errors import IndexCorruptionError
-from repro.indexes.trie import TrieIndex
+from repro.geometry.box import Box
+from repro.indexes import (
+    KDTreeIndex,
+    PMRQuadtreeIndex,
+    PointQuadtreeIndex,
+    SuffixTreeIndex,
+    TrieIndex,
+)
+from repro.resilience.check import spgist_check
+from repro.storage.buffer import BufferPool
+from repro.storage.disk import DiskManager
 from repro.storage.page import PAGE_CAPACITY
-from repro.workloads import random_words
+from repro.workloads import random_points, random_segments, random_words
 
 
 class TestNodeStoreBasics:
@@ -147,8 +157,95 @@ class TestRepack:
         expected = sorted(i for i, w in enumerate(words) if w == probe)
         assert sorted(v for _, v in trie.search_equal(probe)) == expected
 
-    def test_repack_function_returns_new_store(self, buffer):
-        trie = self._build_trie(buffer, n=50)
-        new_store, new_root = repack(trie.store, trie.root)
-        assert isinstance(new_root, NodeRef)
-        assert new_store.num_nodes == trie.store.num_nodes
+
+WORLD = Box(0.0, 0.0, 100.0, 100.0)
+
+#: The five paper opclasses: name -> (index factory, keys).
+OPCLASSES = {
+    "trie": (
+        lambda pool: TrieIndex(pool, bucket_size=4),
+        lambda: random_words(1500, seed=11),
+    ),
+    "suffix": (
+        lambda pool: SuffixTreeIndex(pool, bucket_size=4),
+        lambda: random_words(800, seed=12),
+    ),
+    "kdtree": (KDTreeIndex, lambda: random_points(1500, seed=13)),
+    "pquad": (
+        lambda pool: PointQuadtreeIndex(pool, bucket_size=4),
+        lambda: random_points(1500, seed=14),
+    ),
+    "pmr": (
+        lambda pool: PMRQuadtreeIndex(pool, WORLD, threshold=8),
+        lambda: random_segments(600, seed=15),
+    ),
+}
+
+
+def _layout(index) -> list[tuple]:
+    """``(path from root, page rank, slot)`` of every node, sorted.
+
+    Page *rank* (position among the store's sorted page ids) rather than
+    the raw id: two builds allocate different ids for the same layout.
+    """
+    rank = {p: i for i, p in enumerate(sorted(index.store.page_ids))}
+    out, stack = [], [(index.root, ())]
+    while stack:
+        ref, path = stack.pop()
+        out.append((path, rank[ref.page_id], ref.slot))
+        node = index.store.read(ref)
+        if isinstance(node, InnerNode):
+            stack.extend(
+                (e.child, path + (i,))
+                for i, e in enumerate(node.entries)
+                if e.child is not None
+            )
+    return sorted(out)
+
+
+class TestOnePacker:
+    """Bulk build, ``repack()`` and ``repack_online()`` share one packer."""
+
+    @pytest.mark.parametrize("kind", OPCLASSES)
+    def test_bulk_build_layout_equals_build_then_repack(self, kind):
+        make, keys = OPCLASSES[kind]
+        items = [(key, i) for i, key in enumerate(keys())]
+        packed = make(BufferPool(DiskManager(), capacity=256))
+        packed.bulk_build(items, cluster=True)
+        repacked = make(BufferPool(DiskManager(), capacity=256))
+        repacked.build(items, cluster=False)
+        repacked.repack()
+        a, b = packed.statistics(), repacked.statistics()
+        assert a.pages == b.pages
+        assert a.max_page_height == b.max_page_height
+        assert _layout(packed) == _layout(repacked)
+
+    @pytest.mark.parametrize("frames", [2, 4, 8])
+    @pytest.mark.parametrize("kind", ["kdtree", "trie"])
+    def test_repack_survives_pools_smaller_than_the_subtree(self, kind, frames):
+        # Every read while a page is being assembled may evict the
+        # destination page; the materializer must not hold its payload
+        # across them.
+        make, _ = OPCLASSES[kind]
+        keys = (
+            random_points(600, seed=21)
+            if kind == "kdtree"
+            else random_words(2000, seed=22)
+        )
+        index = make(BufferPool(DiskManager(), capacity=frames))
+        index.build([(key, i) for i, key in enumerate(keys)], cluster=False)
+        find = index.search_point if kind == "kdtree" else index.search_equal
+
+        def assert_intact():
+            report = spgist_check(index)
+            assert report.ok, report.describe()
+            for i, key in enumerate(keys):
+                assert (key, i) in find(key)
+
+        for _ in range(3):
+            index.repack_online(max_subtrees=1)  # bounded background steps
+        assert_intact()
+        index.repack_online()  # the full REPACK INDEX pass
+        assert_intact()
+        index.repack()
+        assert_intact()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.catalog import default_catalog
 from repro.engine.table import Column, Table
+from repro.engine.txn import TransactionManager
 from repro.errors import CatalogError
 from repro.geometry import Box, Point
 from repro.workloads import random_points, random_words
@@ -84,20 +85,40 @@ class TestIndexMaintenance:
         assert list(trie.scan("=", "freshword"))
         assert list(bt.scan("=", "freshword"))
 
-    def test_delete_maintains_all_indexes(self, word_table):
-        trie = word_table.create_index("t", "name", "SP_GiST", "SP_GiST_trie")
-        tid = word_table.insert(("victimword", 1000))
-        word_table.delete_tid(tid)
+    @staticmethod
+    def _delete_and_vacuum(table, tid):
+        """Committed MVCC delete, then the VACUUM that reclaims it."""
+        txn = table.txn.begin()
+        table.mvcc_delete(tid, txn)
+        table.txn.commit(txn)
+        table.vacuum()
+
+    def test_delete_maintains_all_indexes(self, buffer, catalog):
+        table = Table(
+            "word_data",
+            [Column("name", "varchar"), Column("id", "int")],
+            buffer,
+            catalog,
+            txn=TransactionManager(),
+        )
+        trie = table.create_index("t", "name", "SP_GiST", "SP_GiST_trie")
+        bt = table.create_index("b", "name", "btree", "btree_varchar")
+        tid = table.insert(("victimword", 1000))
+        self._delete_and_vacuum(table, tid)
         assert list(trie.scan("=", "victimword")) == []
+        assert list(bt.scan("=", "victimword")) == []
 
     def test_suffix_index_key_extraction(self, buffer, catalog):
-        table = Table("docs", [Column("body", "varchar")], buffer, catalog)
+        table = Table(
+            "docs", [Column("body", "varchar")], buffer, catalog,
+            txn=TransactionManager(),
+        )
         table.insert(("bandana",))
         idx = table.create_index("sfx", "body", "SP_GiST", "SP_GiST_suffix")
         tids = list(idx.scan("@=", "dan"))
         assert len(tids) == 1
         # deletion must remove every suffix
-        table.delete_tid(tids[0])
+        self._delete_and_vacuum(table, tids[0])
         assert list(idx.scan("@=", "dan")) == []
 
 

@@ -1,6 +1,6 @@
 """The end-to-end chaos campaign: seeded schedules over a live replica set.
 
-The fast tier runs 25 schedules on every PR (the CI ``chaos-smoke`` job);
+The fast tier runs 25 schedules on every PR (the CI ``chaos`` matrix job);
 the full 200-schedule campaign — the acceptance bar for the replication
 subsystem — runs behind the ``slow`` marker. Every schedule asserts, after
 healing: zero loss of acknowledged commits, logical equivalence of all

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.resilience.chaos_net import run_net_campaign, run_net_schedule
+from repro.resilience.chaos import run_campaign
+from repro.resilience.chaos_net import run_net_schedule
 
 
 def _explain(transcript: dict) -> str:
@@ -37,7 +38,9 @@ class TestSingleSchedules:
 
 class TestFastCampaign:
     def test_six_schedules_zero_violations(self) -> None:
-        summary = run_net_campaign(6, base_seed=100, clients=3, statements=8)
+        summary = run_campaign(
+            6, base_seed=100, schedule=run_net_schedule, clients=3, statements=8
+        )
         assert summary["ok"], [_explain(t) for t in summary["failed"]]
         totals = summary["totals"]
         # The chaos actually bit: wire kills happened and the dedup
@@ -52,7 +55,9 @@ class TestFastCampaign:
 @pytest.mark.slow
 class TestAcceptanceCampaign:
     def test_hundred_schedules_exactly_once(self) -> None:
-        summary = run_net_campaign(100, base_seed=0, clients=4, statements=12)
+        summary = run_campaign(
+            100, base_seed=0, schedule=run_net_schedule, clients=4, statements=12
+        )
         assert summary["ok"], [_explain(t) for t in summary["failed"]]
         totals = summary["totals"]
         assert totals.get("acked_writes", 0) > 0

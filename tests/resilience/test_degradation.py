@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.node import LeafNode
 from repro.engine.catalog import default_catalog
 from repro.engine.executor import execute_plan
 from repro.engine.planner import (
@@ -76,9 +77,14 @@ class TestDegradation:
         # during planning, before any scan exists. The planner must skip
         # the index, not crash the query.
         corrupt_index(word_table, "trie")
+        # corrupt_index emptied the pool (and with it the node cache);
+        # plant a node so the planner-side purge is observable.
+        cache = word_table.indexes["trie"].structure.store.cache
+        cache.put(999_999, 0, LeafNode(items=[("stale", 0)]))
         target = random_words(2000, seed=61)[3]
         plan = plan_query(word_table, Predicate("name", "=", target))
         assert isinstance(plan, SeqScanPlan)
+        assert len(cache) == 0  # costing quarantines exactly like scanning
         expected = sorted(
             row for _tid, row in word_table.scan() if row[0] == target
         )

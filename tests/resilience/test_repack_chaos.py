@@ -27,7 +27,7 @@ from repro.resilience.chaos import run_campaign
 from repro.resilience.check import spgist_check
 
 
-def _fresh_set(tmp_path, replicas=2):
+def _fresh_set(tmp_path, replicas=2, pool_pages=64):
     return ReplicaSet(
         str(tmp_path),
         kind="trie",
@@ -36,6 +36,7 @@ def _fresh_set(tmp_path, replicas=2):
         heartbeat_timeout=3,
         max_lag=2,
         fsync=False,
+        pool_pages=pool_pages,
     )
 
 
@@ -64,9 +65,9 @@ def _churn(rs, rows=240, keep_every=3, seed=7):
 
 
 class TestMidRepackCrash:
-    def test_crash_before_commit_recovers_committed_layout(self, tmp_path):
+    def test_crash_before_commit_recovers_committed_layout(self, tmp_path, pool_pages=64):
         """Kill-anywhere: an uncommitted repack must vanish on recovery."""
-        rs = _fresh_set(tmp_path)
+        rs = _fresh_set(tmp_path, pool_pages=pool_pages)
         try:
             survivors = _churn(rs)
             committed_rows = set(rs.primary.rows())
@@ -96,9 +97,9 @@ class TestMidRepackCrash:
         finally:
             rs.close()
 
-    def test_crash_between_bounded_steps(self, tmp_path):
+    def test_crash_between_bounded_steps(self, tmp_path, pool_pages=64):
         """Each committed step is durable; the uncommitted one is not."""
-        rs = _fresh_set(tmp_path)
+        rs = _fresh_set(tmp_path, pool_pages=pool_pages)
         try:
             _churn(rs)
             committed_rows = set(rs.primary.rows())
@@ -120,8 +121,8 @@ class TestMidRepackCrash:
 
 
 class TestRepackReplication:
-    def test_committed_repack_is_byte_equivalent_on_standby(self, tmp_path):
-        rs = _fresh_set(tmp_path)
+    def test_committed_repack_is_byte_equivalent_on_standby(self, tmp_path, pool_pages=64):
+        rs = _fresh_set(tmp_path, pool_pages=pool_pages)
         try:
             survivors = _churn(rs)
             before = rs.primary.index.store.fill_factor()
@@ -144,8 +145,8 @@ class TestRepackReplication:
         finally:
             rs.close()
 
-    def test_promoted_standby_serves_the_repacked_index(self, tmp_path):
-        rs = _fresh_set(tmp_path)
+    def test_promoted_standby_serves_the_repacked_index(self, tmp_path, pool_pages=64):
+        rs = _fresh_set(tmp_path, pool_pages=pool_pages)
         try:
             survivors = _churn(rs)
             rs.client_repack()
@@ -164,6 +165,25 @@ class TestRepackReplication:
                 assert list(rs.primary.search(equality, key)), key
         finally:
             rs.close()
+
+
+@pytest.mark.parametrize("pool_pages", [2, 4])
+@pytest.mark.parametrize(
+    "claim",
+    [
+        TestMidRepackCrash.test_crash_before_commit_recovers_committed_layout,
+        TestMidRepackCrash.test_crash_between_bounded_steps,
+        TestRepackReplication.test_committed_repack_is_byte_equivalent_on_standby,
+        TestRepackReplication.test_promoted_standby_serves_the_repacked_index,
+    ],
+    ids=lambda claim: claim.__name__,
+)
+def test_claim_holds_when_repack_evicts_its_own_pages(
+    claim, tmp_path, pool_pages
+):
+    """The same four claims with a pool smaller than the extent being
+    moved, so the repack's own reads evict the pages it is writing."""
+    claim(None, tmp_path, pool_pages)
 
 
 class TestRepackChaosCampaign:

@@ -1,9 +1,10 @@
 """Framing hardening: misbehaving raw sockets against the line protocol.
 
 Satellite of PR 9: lines over ``max_message_bytes``, partial frames
-(mid-frame EOF), and malformed JSON request objects must surface as a
-typed :class:`ProtocolError` — and a partial statement must NEVER
-execute — instead of hanging the handler or leaking a json traceback.
+(mid-frame EOF), and lines that are not a JSON request object (bare SQL
+included) must surface as a typed :class:`ProtocolError` — and a partial
+or bare statement must NEVER execute — instead of hanging the handler or
+leaking a json traceback.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class TestOversizedFrames:
         server, _ = stack
         peer = RawSocket(server)
         try:
-            peer.send(b"SELECT '" + b"x" * (LIMIT + 100) + b"';\n")
+            peer.send(b'{"sql": "SELECT \'' + b"x" * (LIMIT + 100) + b'\';"}\n')
             frame = peer.recv_frame()
             assert frame["ok"] is False
             assert frame["error"] == "ProtocolError"
@@ -83,7 +84,7 @@ class TestPartialFrames:
         try:
             # Die mid-line: no trailing newline, then shut down the
             # write side so the server sees EOF inside the frame.
-            peer.send(b"INSERT INTO t VALUES ('partial', 9)")
+            peer.send(b'{"sql": "INSERT INTO t VALUES (\'partial\', 9)"}')
             peer.sock.shutdown(socket.SHUT_WR)
             frame = peer.recv_frame()
             assert frame["ok"] is False
@@ -117,12 +118,27 @@ class TestMalformedJsonFrames:
             assert frame["ok"] is False
             assert frame["error"] == "ProtocolError"
             # The line framed correctly, so the connection stays usable.
-            peer.send(b"SELECT * FROM t WHERE key = 'alpha';\n")
+            peer.send(b'{"sql": "SELECT * FROM t WHERE key = \'alpha\';"}\n')
             frame = peer.recv_frame()
             assert frame["ok"] is True
             assert frame["rows"] == [["alpha", 1]]
         finally:
             peer.close()
+
+    def test_bare_sql_line_rejected_and_never_executed(self, stack) -> None:
+        server, db = stack
+        peer = RawSocket(server)
+        try:
+            peer.send(b"INSERT INTO t VALUES ('bare', 3);\n")
+            frame = peer.recv_frame()
+            assert frame["ok"] is False
+            assert frame["error"] == "ProtocolError"
+            assert frame.get("close") is None  # still in sync: keeps serving
+            peer.send(b'{"op": "ping"}\n')
+            assert peer.recv_frame() == {"ok": True, "pong": True}
+        finally:
+            peer.close()
+        assert db.execute("SELECT * FROM t WHERE key = 'bare';") == []
 
 
 class TestWellFormedFrames:
@@ -145,7 +161,7 @@ class TestWellFormedFrames:
             # Resend: dedup answers without applying again.
             peer.send(json.dumps(req).encode() + b"\n")
             assert peer.recv_frame() == {"ok": True, "status": "INSERT 0 1"}
-            peer.send(b"SELECT * FROM t WHERE key = 'keyed';\n")
+            peer.send(b'{"sql": "SELECT * FROM t WHERE key = \'keyed\';"}\n')
             assert peer.recv_frame()["rows"] == [["keyed", 2]]
         finally:
             peer.close()

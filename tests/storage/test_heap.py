@@ -72,17 +72,6 @@ class TestDeleteUpdate:
         heap.delete(tids[0])
         assert heap.fetch(tids[4]) == 4
 
-    def test_update_in_place(self, heap):
-        tid = heap.insert(("a", 1))
-        heap.update(tid, ("a", 2))
-        assert heap.fetch(tid) == ("a", 2)
-
-    def test_update_deleted_raises(self, heap):
-        tid = heap.insert("x")
-        heap.delete(tid)
-        with pytest.raises(StorageError):
-            heap.update(tid, "y")
-
 
 class TestVacuumStats:
     def test_vacuum_stats_after_mass_delete(self, heap):
