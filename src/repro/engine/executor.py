@@ -20,9 +20,9 @@ whole heap pages / TID chunks instead of per-row generator resumes, which
 is where the tuple-at-a-time path spent most of its Python overhead.
 :func:`execute_plan` is a thin flattening wrapper, so every existing
 caller gets the batched engine transparently; the original per-row
-implementation survives as :func:`execute_plan_rows` — it is the perfgate
-baseline and the differential oracle's reference semantics (batch output
-must equal it row-for-row for every batch size, including 1).
+implementation survives as :func:`execute_plan_rows` — the differential
+oracle's reference semantics (batch output must equal it row-for-row for
+every batch size, including 1).
 """
 
 from __future__ import annotations
@@ -93,9 +93,8 @@ def execute_plan_rows(
 ) -> Iterator[tuple]:
     """The original tuple-at-a-time executor, one generator resume per row.
 
-    Kept as the perfgate baseline and as the reference semantics the
-    batched path is differentially tested against; production callers go
-    through :func:`execute_plan`.
+    Kept as the reference semantics the batched path is differentially
+    tested against; production callers go through :func:`execute_plan`.
     """
     if isinstance(plan, (NNIndexScanPlan, NNSortScanPlan)):
         return _execute_nn(plan, on_degrade)

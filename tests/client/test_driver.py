@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import socket
+import threading
 
 import pytest
 
@@ -116,6 +117,41 @@ class TestFailover:
             client.execute("INSERT INTO t VALUES ('post', 2);")
             assert len(cluster.rows("pre")) == 1
             assert len(cluster.rows("post")) == 1
+
+    def test_pooled_threads_lose_nothing_through_a_drain(self, cluster) -> None:
+        """Two threads share the pool while the server drains and restarts
+        mid-run: every operation completes and every insert lands once."""
+        threads, ops = 2, 20
+        warmed = threading.Barrier(threads + 1)
+        failures: list[Exception] = []
+
+        def worker(client, cid):
+            for j in range(ops):
+                if j == ops // 4:
+                    warmed.wait()
+                try:
+                    if j % 5 < 3:
+                        client.execute(f"INSERT INTO t VALUES ('c{cid}', {j});")
+                    else:
+                        client.execute("SELECT * FROM t WHERE key = 'c0';")
+                except Exception as exc:
+                    failures.append(exc)
+
+        with make_client(cluster) as client:
+            workers = [
+                threading.Thread(target=worker, args=(client, cid))
+                for cid in range(threads)
+            ]
+            for thread in workers:
+                thread.start()
+            warmed.wait()
+            cluster.restart()
+            for thread in workers:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in workers)
+        assert failures == []
+        for cid in range(threads):
+            assert len(cluster.rows(f"c{cid}")) == 12  # 3 of every 5 ops
 
 
 class TestTransactions:

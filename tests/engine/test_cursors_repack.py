@@ -8,11 +8,15 @@ its refusal cases.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.core.external import Query
 from repro.engine import Database
 from repro.errors import SQLError
 from repro.settings import SETTINGS
+from repro.workloads import random_words
 
 
 @pytest.fixture
@@ -118,14 +122,32 @@ class TestRepackIndex:
             == before
         )
 
-    def test_repack_improves_fill_after_churn(self, word_db):
-        for i in range(43):
-            if i % 3 != 0:
-                word_db.execute(f"DELETE FROM word_data WHERE id = {i};")
-        index = word_db.table("word_data").indexes["sp_trie_index"]
-        degraded = index.structure.store.fill_factor()
-        word_db.execute("REPACK INDEX sp_trie_index;")
-        assert index.structure.store.fill_factor() >= degraded
+    def test_repack_improves_fill_after_churn(self, db):
+        # Load, then delete 2 of every 3 keys: the index keeps its pages
+        # at about a third of their fill until REPACK re-clusters it.
+        words = random_words(3000, seed=803)
+        db.execute("CREATE TABLE churn (name VARCHAR(50), keep INT);")
+        db.execute(
+            "INSERT INTO churn VALUES "
+            + ", ".join(f"('{w}', {int(i % 3 == 0)})" for i, w in enumerate(words))
+            + ";"
+        )
+        db.execute(
+            "CREATE INDEX churn_idx ON churn USING SP_GiST (name SP_GiST_trie);"
+        )
+        db.execute("DELETE FROM churn WHERE keep = 0;")
+        trie = db.table("churn").indexes["churn_idx"].structure
+        degraded_pages = len(trie.store.page_ids)
+        assert trie.store.fill_factor() < 0.5
+
+        db.execute("REPACK INDEX churn_idx;")
+
+        assert trie.store.fill_factor() >= 0.90
+        assert len(trie.store.page_ids) < degraded_pages
+        assert "OK" in db.execute("CHECK INDEX churn_idx;")
+        survivors = Counter(w for i, w in enumerate(words) if i % 3 == 0)
+        for word, count in survivors.items():
+            assert len(trie.search_list(Query("=", word))) == count, word
 
     def test_repack_refused_inside_transaction_block(self, word_db):
         word_db.execute("BEGIN;")

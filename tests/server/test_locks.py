@@ -272,6 +272,34 @@ class TestAccounting:
         assert gauges["lock_manager_held"] == 0.0
         assert gauges["lock_manager_waiters"] == 0.0
 
+    def test_pingpong_wakes_each_waiter_at_most_once_per_wait(self, lm):
+        """Per-waiter conditions: a release wakes the next grantee, not
+        every parked thread, so wakeups never exceed waits."""
+        threads, rounds = 8, 60
+        key = table_key("t")
+        barrier = threading.Barrier(threads)
+
+        def worker(i):
+            owner = _owner(f"w{i}", i + 1)
+            barrier.wait()
+            for _ in range(rounds):
+                lm.acquire(owner, key, LockMode.EXCLUSIVE)
+                time.sleep(0)  # yield while holding: the others park
+                lm.release_all(owner)
+
+        workers = [
+            threading.Thread(target=worker, args=(i,)) for i in range(threads)
+        ]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in workers)
+        stats = lm.stats()
+        assert stats["grants"] == threads * rounds
+        assert stats["waits"] > 0, "no contention: the storm measured nothing"
+        assert stats["wakeups"] <= stats["waits"]
+
 
 def _lock_gauges(rendered: str) -> dict[str, float]:
     """Parse the lock-manager gauges out of the Prometheus text format."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -60,6 +61,43 @@ class TestBasics:
             rows = pendings[-1].wait(timeout=30)
             # The final SELECT must observe every preceding INSERT.
             assert len(rows) == 20
+
+    def test_sixteen_sessions_mixed_load_without_errors(self):
+        """16 closed-loop sessions x 12 statements: indexed reads, inserts
+        and updates of the session's own rows all complete cleanly."""
+        sessions, statements = 16, 12
+        errors: list[Exception] = []
+
+        def client(mgr, sid):
+            s = mgr.connect(f"c{sid}")
+            rng = random.Random(sid)
+            mine: list[int] = []
+            for j in range(statements):
+                roll = rng.random()
+                if roll < 0.70:
+                    sql = "SELECT * FROM t WHERE key = 'alpha';"
+                elif roll < 0.95 or not mine:
+                    mine.append(1000 * sid + j)
+                    sql = f"INSERT INTO t VALUES ('s{sid}', {mine[-1]});"
+                else:
+                    sql = f"UPDATE t SET key = 'u{sid}' WHERE id = {rng.choice(mine)};"
+                try:
+                    mgr.execute(s, sql)
+                except Exception as exc:
+                    errors.append(exc)
+
+        with SessionManager(_db()) as mgr:
+            threads = [
+                threading.Thread(target=client, args=(mgr, sid))
+                for sid in range(sessions)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert mgr.stats["submitted"] == sessions * statements
 
 
 class TestAdmissionControl:
