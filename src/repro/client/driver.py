@@ -31,7 +31,6 @@ What composes here:
 from __future__ import annotations
 
 import itertools
-import re
 import threading
 import time
 import uuid
@@ -40,6 +39,7 @@ from typing import Any, Callable, Iterable
 from repro.client.breaker import CircuitBreaker
 from repro.client.pool import ConnectionPool, PooledConnection
 from repro.client.retry import RetryPolicy, remaining
+from repro.engine.parse import leading_class
 from repro.errors import (
     CircuitOpenError,
     ConnectionLostError,
@@ -67,9 +67,6 @@ CLIENT_COMMIT_RECOVERIES = METRICS.counter(
     "Commit-recovery probes resolved, by verdict.",
     labels=("verdict",),
 )
-
-_WRITE_RE = re.compile(r"^\s*(INSERT|UPDATE|DELETE)\b", re.IGNORECASE)
-_READ_RE = re.compile(r"^\s*SELECT\b", re.IGNORECASE)
 
 Endpoint = tuple[str, int]
 
@@ -237,12 +234,13 @@ class ResilientClient:
         """
         if self._closed:
             raise PoolTimeoutError("client is closed")
-        if key is None and _WRITE_RE.match(sql):
+        leading = leading_class(sql)
+        if key is None and leading == "write":
             key = self._next_key()
         # Ambiguous connection losses may only be retried when a re-send
         # cannot double-apply: keyed statements (dedup absorbs them) and
-        # autocommit reads (re-running a SELECT is always safe).
-        replay_safe = key is not None or bool(_READ_RE.match(sql))
+        # autocommit reads (re-running a SELECT/EXPLAIN is always safe).
+        replay_safe = key is not None or leading == "read"
         budget = self.op_timeout if timeout is None else timeout
         deadline = time.monotonic() + budget if budget else None
         last_error: BaseException | None = None

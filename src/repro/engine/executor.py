@@ -88,6 +88,20 @@ def execute_plan_batches(
     raise PlannerError(f"unknown plan node {type(plan).__name__}")
 
 
+def limit_batches(
+    batches: Iterator[list[tuple]], limit: int
+) -> Iterator[list[tuple]]:
+    """LIMIT over a batch stream: truncate the batch that crosses it."""
+    if limit <= 0:
+        return
+    for batch in batches:
+        if len(batch) >= limit:
+            yield batch[:limit]
+            return
+        limit -= len(batch)
+        yield batch
+
+
 def execute_plan_rows(
     plan: Plan, on_degrade: OnDegrade | None = None
 ) -> Iterator[tuple]:

@@ -22,40 +22,20 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
+from repro.engine.executor import execute_plan_batches, limit_batches
+from repro.engine.parse import Statement, parse
 from repro.engine.planner import (
     IndexScanPlan,
     NNIndexScanPlan,
     Plan,
 )
+from repro.errors import SQLError
 from repro.obs import METRICS
 from repro.settings import SETTINGS
 from repro.storage.buffer import BufferStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.sql import Database
-
-
-class _InstrumentedIter:
-    """Counts rows and inclusive wall time spent producing them."""
-
-    __slots__ = ("inner", "rows", "seconds")
-
-    def __init__(self, inner: Iterator[tuple]) -> None:
-        self.inner = inner
-        self.rows = 0
-        self.seconds = 0.0
-
-    def __iter__(self) -> "_InstrumentedIter":
-        return self
-
-    def __next__(self) -> tuple:
-        started = time.perf_counter()
-        try:
-            row = next(self.inner)
-        finally:
-            self.seconds += time.perf_counter() - started
-        self.rows += 1
-        return row
+    from repro.engine.sql import Database, SessionState
 
 
 class _InstrumentedBatches:
@@ -194,33 +174,6 @@ class ExplainReport:
         return self.render()
 
 
-def _limit_batches(
-    batches: Iterator[list[tuple]], limit: int
-) -> Iterator[list[tuple]]:
-    """LIMIT over a batch stream: truncate the batch that crosses it."""
-    if limit <= 0:
-        return
-    taken = 0
-    for batch in batches:
-        remaining = limit - taken
-        if len(batch) >= remaining:
-            yield batch[:remaining]
-            return
-        taken += len(batch)
-        yield batch
-
-
-def _strip_explain_prefix(sql: str) -> str:
-    text = sql.strip()
-    lowered = text.lower()
-    if lowered.startswith("explain"):
-        text = text[len("explain"):].strip()
-        lowered = text.lower()
-        if lowered.startswith("analyze"):
-            text = text[len("analyze"):].strip()
-    return text
-
-
 def _plan_node(plan: Plan, row_count: int) -> NodeReport:
     """Describe one access-path node with the planner's estimates."""
     label = f"{plan.kind} on {plan.table.name}"
@@ -241,35 +194,45 @@ def _plan_node(plan: Plan, row_count: int) -> NodeReport:
     )
 
 
-def explain(db: "Database", sql: str) -> ExplainReport:
-    """Plan ``sql`` (a SELECT, with or without a leading EXPLAIN) — no I/O."""
-    inner = _strip_explain_prefix(sql)
+def _plan(
+    db: "Database", sql: "str | Statement", session: "SessionState | None"
+) -> tuple[Plan, int | None, ExplainReport]:
+    """Plan a SELECT (text with or without EXPLAIN, or a parsed one) under
+    ``session``: the plan, its LIMIT, and its not-yet-run report."""
+    statement = sql if isinstance(sql, Statement) else parse(sql)
+    if statement.kind == "explain":
+        statement = statement.inner
+    if statement.kind != "select":
+        raise SQLError(f"EXPLAIN supports only SELECT, got {statement.kind!r}")
     started = time.perf_counter()
-    plan, limit = db._parse_select(inner)
+    plan = db._plan_select(statement, session or db._session)
     planning_ms = (time.perf_counter() - started) * 1000.0
-    node = _plan_node(plan, len(plan.table))
-    root = node
-    if limit is not None:
-        root = NodeReport(label=f"Limit (rows={limit})", children=[node])
-    return ExplainReport(root=root, analyzed=False, planning_ms=planning_ms)
+    root = _plan_node(plan, len(plan.table))
+    if statement.limit is not None:
+        root = NodeReport(label=f"Limit (rows={statement.limit})", children=[root])
+    return plan, statement.limit, ExplainReport(root, False, planning_ms)
 
 
-def explain_analyze(db: "Database", sql: str) -> ExplainReport:
+def explain(
+    db: "Database", sql: "str | Statement", session: "SessionState | None" = None
+) -> ExplainReport:
+    """Plan ``sql`` (a SELECT, with or without a leading EXPLAIN) — no I/O."""
+    return _plan(db, sql, session)[2]
+
+
+def explain_analyze(
+    db: "Database", sql: "str | Statement", session: "SessionState | None" = None
+) -> ExplainReport:
     """Plan *and run* ``sql``, reporting actuals and per-layer counters.
 
     Rows are produced and discarded (PostgreSQL EXPLAIN ANALYZE
     semantics); every side effect of execution — buffer traffic, WAL
     appends, checksum verifications, degradation incidents — lands in the
-    report's per-layer section.
+    report's per-layer section. ``session`` (default: the database's own)
+    supplies the snapshot, so inside a block the plan sees its writes.
     """
-    from repro.engine.executor import execute_plan_batches
-
-    inner = _strip_explain_prefix(sql)
-    started = time.perf_counter()
-    plan, limit = db._parse_select(inner)
-    planning_ms = (time.perf_counter() - started) * 1000.0
-
-    node = _plan_node(plan, len(plan.table))
+    plan, limit, report = _plan(db, sql, session)
+    node = report.root if limit is None else report.root.children[0]
     buffers_before = db.buffer.stats.snapshot()
     metrics_before = METRICS.snapshot()
 
@@ -282,30 +245,20 @@ def explain_analyze(db: "Database", sql: str) -> ExplainReport:
     scan_iter = _InstrumentedBatches(
         execute_plan_batches(plan, batch_size=batch_size)
     )
-    top_iter: _InstrumentedBatches | Any = scan_iter
-    root = node
+    top_iter = scan_iter
     if limit is not None:
-        top_iter = _InstrumentedBatches(_limit_batches(scan_iter, limit))
-        root = NodeReport(label=f"Limit (rows={limit})", children=[node])
+        top_iter = _InstrumentedBatches(limit_batches(scan_iter, limit))
 
     run_started = time.perf_counter()
     for _batch in top_iter:
         pass
-    execution_ms = (time.perf_counter() - run_started) * 1000.0
+    report.execution_ms = (time.perf_counter() - run_started) * 1000.0
 
-    node.actual_rows = scan_iter.rows
-    node.actual_batches = scan_iter.batches
-    node.wall_ms = scan_iter.seconds * 1000.0
-    if limit is not None:
-        root.actual_rows = top_iter.rows
-        root.actual_batches = top_iter.batches
-        root.wall_ms = top_iter.seconds * 1000.0
-
-    return ExplainReport(
-        root=root,
-        analyzed=True,
-        planning_ms=planning_ms,
-        execution_ms=execution_ms,
-        buffers=db.buffer.stats.delta(buffers_before),
-        metrics=METRICS.delta(metrics_before, METRICS.snapshot()),
-    )
+    for reported, measured in ((node, scan_iter), (report.root, top_iter)):
+        reported.actual_rows = measured.rows
+        reported.actual_batches = measured.batches
+        reported.wall_ms = measured.seconds * 1000.0
+    report.analyzed = True
+    report.buffers = db.buffer.stats.delta(buffers_before)
+    report.metrics = METRICS.delta(metrics_before, METRICS.snapshot())
+    return report

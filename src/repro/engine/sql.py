@@ -1,36 +1,50 @@
 """Mini-SQL front end covering the paper's Table 6 statement shapes.
 
-Supported statements (case-insensitive keywords, one statement per call)::
+:func:`repro.engine.parse.parse` reads one statement into a
+:class:`~repro.engine.parse.Statement` and :meth:`Database.execute` runs
+it. The grammar (keywords case-insensitive, one statement per call, an
+optional trailing ``;``)::
 
-    CREATE TABLE word_data (name VARCHAR(50), id INT);
-    CREATE INDEX sp_trie_index ON word_data USING SP_GiST (name SP_GiST_trie);
-    INSERT INTO word_data VALUES ('random', 1);
-    SELECT * FROM word_data WHERE name = 'random';
-    SELECT name, id FROM word_data WHERE name = 'random';
-    SELECT COUNT(*) FROM word_data WHERE name #= 'ran';
-    SELECT * FROM word_data WHERE name ?= 'r?nd?m' LIMIT 10;
-    SELECT * FROM point_data WHERE p ^ '(0,0,5,5)';
-    SELECT * FROM point_data WHERE p @@ '(1,2)' LIMIT 8;   -- NN via cursor/LIMIT
-    EXPLAIN SELECT * FROM word_data WHERE name = 'random';
-    DELETE FROM word_data WHERE name = 'random';
-    UPDATE word_data SET name = 'chosen' WHERE id = 1;
-    BEGIN; COMMIT; ROLLBACK;                   -- snapshot-isolation txns
-    VACUUM word_data;                          -- reclaim dead versions
-    DROP INDEX sp_trie_index ON word_data;
-    DROP TABLE word_data;
-    CHECK INDEX sp_trie_index;                 -- amcheck-style verification
-    REPACK INDEX sp_trie_index;                -- online clustering repack
-    DECLARE c CURSOR FOR SELECT * FROM word_data WHERE name #= 'ran';
-    FETCH 10 FROM c; FETCH ALL FROM c; CLOSE c;   -- batch pagination
-    SELECT * FROM repro_incidents();           -- the resilience incident log
-    SELECT * FROM repro_heap_stats('word_data');  -- heap version accounting
+    statement    := select | insert | update | delete | explain
+                  | create_table | create_index | DROP TABLE name
+                  | DROP INDEX name ON name | BEGIN [TRANSACTION] | (COMMIT | END) [TRANSACTION]
+                  | ROLLBACK [TRANSACTION] | VACUUM name | ANALYZE name
+                  | CHECK INDEX name | REPACK INDEX name
+                  | DECLARE name CURSOR FOR select
+                  | FETCH [integer | ALL] [FROM] name | CLOSE name
+    select       := SELECT ('*' | COUNT '(' '*' ')' | name {',' name})
+                    FROM name [WHERE predicate] [LIMIT integer]
+                  | SELECT '*' FROM repro_incidents '(' ')'
+                  | SELECT '*' FROM repro_heap_stats '(' string ')'
+    explain      := EXPLAIN [ANALYZE] select       -- over a table
+    insert       := INSERT INTO name VALUES row {',' row}
+    row          := '(' literal {',' literal} ')'
+    update       := UPDATE name SET name '=' literal WHERE predicate
+    delete       := DELETE FROM name WHERE predicate
+    predicate    := name operator literal
+    create_table := CREATE TABLE name '(' column {',' column} ')'
+    column       := name type ['(' integer {',' integer} ')']
+    create_index := CREATE INDEX name ON name USING name '(' name [name] ')'
+    literal      := string | ['-'] number | name | group
+    group        := '(' ... ')' | '[' ... ']'      -- balanced, kept verbatim
 
-Literals are bound using the column's catalog type: varchar literals are
-quoted strings with SQL-standard doubled-quote escapes (``'O''Brien'``),
-points parse as ``(x,y)``, boxes as ``(x1,y1,x2,y2)``, segments as
-``[(x1,y1),(x2,y2)]``. The operand type of an operator (e.g. ``^`` takes a
-box although the column is a point) comes from the operator's catalog row,
-exactly as PostgreSQL binds ``leftarg``/``rightarg``.
+A *string* is single-quoted with ``''`` for a quote (``'O''Brien'``);
+``;``, ``,`` and ``)`` inside quotes are text. An *operator* is any run of
+``+ - * / < > = ~ ! @ # % ^ & | ` ?`` and needs no spaces around it
+(``name='abc'``). As in PostgreSQL, a run that ends in ``+`` or ``-`` and
+holds none of ``~ ! @ # % ^ & | ` ?`` gives the sign back, so
+``id=-10`` is ``id = -10``. The grammar takes any operator; the catalog
+decides which exist for the column's type: ``=``, ``#=`` (prefix), ``?=``
+(regex), ``*=`` (wildcard), ``@=`` (substring), ``@`` (point equality),
+``^`` (point in box), ``&&`` (segment overlaps box), ``@@`` (nearest
+neighbour) and ``<``, ``<=``, ``>``, ``>=``. To see what a text parses
+to, print ``repro.engine.parse.parse(text)``.
+
+Literals are bound using the column's catalog type: varchar literals must
+be quoted, points parse as ``(x,y)``, boxes as ``(x1,y1,x2,y2)``, segments
+as ``[(x1,y1),(x2,y2)]``. The operand type of an operator (e.g. ``^``
+takes a box although the column is a point) comes from the operator's
+catalog row, exactly as PostgreSQL binds ``leftarg``/``rightarg``.
 
 Transactions: every DML statement outside ``BEGIN``/``COMMIT`` autocommits.
 Inside a transaction block, all statements read through the snapshot taken
@@ -41,13 +55,13 @@ aborts the whole block, PostgreSQL's "could not serialize" behaviour.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from repro.engine.catalog import SystemCatalog, default_catalog
-from repro.engine.executor import execute_plan_batches
+from repro.engine.executor import execute_plan_batches, limit_batches
+from repro.engine.parse import Literal, Statement, parse
 from repro.engine.planner import NN_OPERATOR, Plan, Predicate, plan_query
 from repro.engine.table import Column, Table
 from repro.engine.txn import Snapshot, Transaction, TransactionManager
@@ -161,81 +175,31 @@ class SessionState:
             self.cursors[name].close()
             del self.cursors[name]
 
+    def fail_block(self) -> Transaction | None:
+        """Enter the aborted-block state; return the block's transaction
+        for the caller to roll back."""
+        txn, self.current = self.current, None
+        self.failed = True
+        self.block_tables = set()
+        self.drop_block_cursors()
+        return txn
+
+
 _TYPE_ALIASES = {
-    "varchar": "varchar",
-    "text": "varchar",
-    "char": "varchar",
-    "int": "int",
-    "integer": "int",
-    "bigint": "int",
-    "float": "float",
-    "real": "float",
-    "double": "float",
-    "point": "point",
-    "lseg": "lseg",
-    "box": "box",
+    **dict.fromkeys(("varchar", "text", "char"), "varchar"),
+    **dict.fromkeys(("int", "integer", "bigint"), "int"),
+    **dict.fromkeys(("float", "real", "double"), "float"),
+    **{name: name for name in ("point", "lseg", "box")},
 }
 
-_CREATE_TABLE = re.compile(
-    r"^\s*create\s+table\s+(\w+)\s*\((.*)\)\s*;?\s*$", re.I | re.S
-)
-_CREATE_INDEX = re.compile(
-    r"^\s*create\s+index\s+(\w+)\s+on\s+(\w+)\s+using\s+(\w+)\s*"
-    r"\(\s*(\w+)(?:\s+(\w+))?\s*\)\s*;?\s*$",
-    re.I,
-)
-_INSERT = re.compile(
-    r"^\s*insert\s+into\s+(\w+)\s+values\s*(\(.*\))\s*;?\s*$", re.I | re.S
-)
-#: One SQL literal: a quoted string with SQL-standard doubled-quote
-#: escapes (``'O''Brien'``), or any bare token. The quoted branch must
-#: come first so an escaped literal is consumed whole instead of the
-#: bare branch grabbing a fragment of it; the bare branch stops at ``;``
-#: so ``WHERE id = 1;`` binds ``1``, not ``1;``.
-_LITERAL = r"'(?:[^']|'')*'|[^\s;]+"
-_SELECT = re.compile(
-    r"^\s*select\s+(\*|count\(\*\)|[\w]+(?:\s*,\s*[\w]+)*)\s+from\s+(\w+)"
-    rf"(?:\s+where\s+(\w+)\s*(\S+)\s*({_LITERAL}))?"
-    r"(?:\s+limit\s+(\d+))?\s*;?\s*$",
-    re.I,
-)
-_DELETE = re.compile(
-    r"^\s*delete\s+from\s+(\w+)\s+where\s+(\w+)\s*(\S+)\s*"
-    rf"({_LITERAL})\s*;?\s*$",
-    re.I,
-)
-_UPDATE = re.compile(
-    rf"^\s*update\s+(\w+)\s+set\s+(\w+)\s*=\s*({_LITERAL})"
-    rf"\s+where\s+(\w+)\s*(\S+)\s*({_LITERAL})\s*;?\s*$",
-    re.I,
-)
-_BEGIN = re.compile(r"^\s*begin(?:\s+transaction)?\s*;?\s*$", re.I)
-_COMMIT = re.compile(r"^\s*(?:commit|end)(?:\s+transaction)?\s*;?\s*$", re.I)
-_ROLLBACK = re.compile(r"^\s*rollback(?:\s+transaction)?\s*;?\s*$", re.I)
-_VACUUM = re.compile(r"^\s*vacuum\s+(\w+)\s*;?\s*$", re.I)
-_DROP_INDEX = re.compile(
-    r"^\s*drop\s+index\s+(\w+)\s+on\s+(\w+)\s*;?\s*$", re.I
-)
-_DROP_TABLE = re.compile(r"^\s*drop\s+table\s+(\w+)\s*;?\s*$", re.I)
-_ANALYZE = re.compile(r"^\s*analyze\s+(\w+)\s*;?\s*$", re.I)
-_CHECK_INDEX = re.compile(r"^\s*check\s+index\s+(\w+)\s*;?\s*$", re.I)
-_REPACK_INDEX = re.compile(r"^\s*repack\s+index\s+(\w+)\s*;?\s*$", re.I)
-_DECLARE_CURSOR = re.compile(
-    r"^\s*declare\s+(\w+)\s+cursor\s+for\s+(select\s.*)$", re.I | re.S
-)
-_FETCH = re.compile(
-    r"^\s*fetch\s+(?:(\d+|all)\s+)?(?:from\s+)?(\w+)\s*;?\s*$", re.I
-)
-_CLOSE = re.compile(r"^\s*close\s+(\w+)\s*;?\s*$", re.I)
-_SELECT_INCIDENTS = re.compile(
-    r"^\s*select\s+\*\s+from\s+repro_incidents\s*\(\s*\)\s*;?\s*$", re.I
-)
-_SELECT_HEAP_STATS = re.compile(
-    r"^\s*select\s+\*\s+from\s+repro_heap_stats\s*\(\s*'(\w+)'\s*\)\s*;?\s*$",
-    re.I,
-)
-_EXPLAIN_ANALYZE = re.compile(r"^\s*explain\s+analyze\s+(.*)$", re.I | re.S)
-_EXPLAIN = re.compile(r"^\s*explain\s+(.*)$", re.I | re.S)
+#: The text-to-value parser of each non-varchar column type.
+_LITERAL_PARSERS: dict[str, Callable[[str], Any]] = {
+    "int": int,
+    "float": float,
+    "point": Point.parse,
+    "box": Box.parse,
+    "lseg": LineSegment.parse,
+}
 
 
 class Database:
@@ -265,24 +229,28 @@ class Database:
 
     # -- public API -----------------------------------------------------------------
 
-    def execute(self, sql: str, session: SessionState | None = None) -> Any:
-        """Run one SQL statement; see the module docstring for the dialect.
+    def execute(
+        self, sql: str | Statement, session: SessionState | None = None
+    ) -> Any:
+        """Run one statement, given as text or already parsed.
 
-        ``session`` carries per-session transaction state; omitted, the
-        database's embedded default session is used (the single-session
-        API every pre-server caller keeps).
+        Each statement kind has a handler named ``_<kind>``. ``session``
+        carries per-session transaction state; omitted, the database's
+        embedded default session is used (the single-session API every
+        pre-server caller keeps).
         """
         if session is None:
             session = self._session
         if session.current is not None and session.epoch != self.epoch:
             # The cluster was rebound under an open block (failover): the
             # block's transaction manager is gone, so the block is dead.
-            session.current = None
-            session.failed = True
-            session.block_tables = set()
-            session.drop_block_cursors()
+            session.fail_block()
         if session.failed:
-            if _COMMIT.match(sql) or _ROLLBACK.match(sql):
+            try:
+                ends_block = _parsed(sql).kind in ("commit", "rollback")
+            except SQLError:
+                ends_block = False
+            if ends_block:
                 session.failed = False
                 session.current = None
                 session.block_tables = set()
@@ -292,7 +260,8 @@ class Database:
                 "end of transaction block"
             )
         try:
-            return self._dispatch(sql, session)
+            statement = _parsed(sql)
+            return getattr(self, "_" + statement.kind)(statement, session)
         except WouldBlock:
             raise  # control flow, not a failure: the statement is retried
         except Exception:
@@ -301,84 +270,10 @@ class Database:
                 # block (PostgreSQL's rule); the DML paths already did
                 # this via _abort_write, this catches the rest (failed
                 # SELECT/EXPLAIN/parse/bind errors).
-                txn = session.current
-                session.current = None
-                session.failed = True
-                session.block_tables = set()
-                session.drop_block_cursors()
+                txn = session.fail_block()
                 if txn.is_open:
                     self.txn.abort(txn)
             raise
-
-    def _dispatch(self, sql: str, session: SessionState) -> Any:
-        match = _EXPLAIN_ANALYZE.match(sql)
-        if match:
-            return self._explain(match.group(1), execute=True)
-        match = _EXPLAIN.match(sql)
-        if match:
-            return self._explain(match.group(1))
-        match = _CREATE_TABLE.match(sql)
-        if match:
-            return self._create_table(match.group(1), match.group(2))
-        match = _CREATE_INDEX.match(sql)
-        if match:
-            return self._create_index(*match.groups())
-        match = _INSERT.match(sql)
-        if match:
-            return self._insert(match.group(1), match.group(2), session)
-        match = _BEGIN.match(sql)
-        if match:
-            return self._begin(session)
-        match = _COMMIT.match(sql)
-        if match:
-            return self._commit(session)
-        match = _ROLLBACK.match(sql)
-        if match:
-            return self._rollback(session)
-        match = _VACUUM.match(sql)
-        if match:
-            return self._vacuum(match.group(1), session)
-        match = _CHECK_INDEX.match(sql)
-        if match:
-            return self._check_index(match.group(1))
-        match = _REPACK_INDEX.match(sql)
-        if match:
-            return self._repack_index(match.group(1), session)
-        match = _DECLARE_CURSOR.match(sql)
-        if match:
-            return self._declare_cursor(match.group(1), match.group(2), session)
-        match = _FETCH.match(sql)
-        if match:
-            return self._fetch_cursor(match.group(1), match.group(2), session)
-        match = _CLOSE.match(sql)
-        if match:
-            return self._close_cursor(match.group(1), session)
-        match = _SELECT_INCIDENTS.match(sql)
-        if match:
-            return self._select_incidents()
-        match = _SELECT_HEAP_STATS.match(sql)
-        if match:
-            return self.table(match.group(1)).heap_stats()
-        match = _SELECT.match(sql)
-        if match:
-            return list(self._select(*match.groups(), session=session))
-        match = _DELETE.match(sql)
-        if match:
-            return self._delete(*match.groups(), session=session)
-        match = _UPDATE.match(sql)
-        if match:
-            return self._update(*match.groups(), session=session)
-        match = _DROP_INDEX.match(sql)
-        if match:
-            return self._drop_index(match.group(1), match.group(2))
-        match = _DROP_TABLE.match(sql)
-        if match:
-            return self._drop_table(match.group(1))
-        match = _ANALYZE.match(sql)
-        if match:
-            self.table(match.group(1)).analyze()
-            return f"ANALYZE {match.group(1)}"
-        raise SQLError(f"cannot parse statement: {sql!r}")
 
     def table(self, name: str) -> Table:
         """Look up a table by (case-insensitive) name."""
@@ -389,40 +284,31 @@ class Database:
 
     # -- DDL -------------------------------------------------------------------------
 
-    def _create_table(self, name: str, column_spec: str) -> str:
+    def _create_table(self, statement: Statement, session: SessionState) -> str:
+        name = statement.table
         if name.lower() in self.tables:
             raise SQLError(f"table {name!r} already exists")
         columns = []
-        for part in self._split_top_level(column_spec):
-            tokens = part.strip().split()
-            if len(tokens) < 2:
-                raise SQLError(f"bad column definition: {part!r}")
-            col_name = tokens[0]
-            raw_type = re.sub(r"\(.*\)", "", tokens[1]).lower()
+        for col_name, raw_type in statement.columns:
             type_name = _TYPE_ALIASES.get(raw_type)
             if type_name is None:
-                raise SQLError(f"unknown column type {tokens[1]!r}")
+                raise SQLError(f"unknown column type {raw_type!r}")
             columns.append(Column(col_name, type_name))
         self.tables[name.lower()] = Table(
             name, columns, self.buffer, self.catalog, txn=self.txn
         )
         return f"CREATE TABLE {name}"
 
-    def _create_index(
-        self,
-        index_name: str,
-        table_name: str,
-        using: str,
-        column_name: str,
-        opclass_name: str | None,
-    ) -> str:
-        table = self.table(table_name)
-        table.create_index(
-            index_name, column_name, using=using, opclass_name=opclass_name
+    def _create_index(self, statement: Statement, session: SessionState) -> str:
+        self.table(statement.table).create_index(
+            statement.index,
+            statement.columns[0],
+            using=statement.using,
+            opclass_name=statement.opclass,
         )
-        return f"CREATE INDEX {index_name}"
+        return f"CREATE INDEX {statement.index}"
 
-    def _check_index(self, index_name: str) -> str:
+    def _check_index(self, statement: Statement, session: SessionState) -> str:
         """``CHECK INDEX <name>``: run the amcheck-style verifier.
 
         Finds the index by name across all tables, runs
@@ -434,20 +320,23 @@ class Database:
         """
         from repro.resilience.check import spgist_check
 
-        _table, index = self.find_index(index_name)
+        return spgist_check(self._spgist(statement, "CHECK INDEX")).describe()
+
+    def _spgist(self, statement: Statement, command: str) -> Any:
+        """The SP-GiST structure behind ``statement.index``."""
+        _table, index = self.find_index(statement.index)
         if index.access_method != "sp_gist":
             raise SQLError(
-                f"CHECK INDEX supports SP-GiST indexes; {index_name!r} "
+                f"{command} supports SP-GiST indexes; {statement.index!r} "
                 f"uses {index.access_method!r}"
             )
-        return spgist_check(index.structure).describe()
+        return index.structure
 
     def find_index(self, index_name: str) -> tuple[Table, Any]:
         """Locate an index by name across all tables: ``(table, index)``.
 
-        Public because the server's lock classifier needs the owning
-        table of a ``REPACK INDEX`` statement to take the right table
-        lock.
+        Public because the server takes a ``CHECK INDEX`` or ``REPACK
+        INDEX`` statement's lock on the owning table.
         """
         for table in self.tables.values():
             index = table.indexes.get(index_name)
@@ -455,7 +344,7 @@ class Database:
                 return table, index
         raise SQLError(f"unknown index {index_name!r}")
 
-    def _repack_index(self, index_name: str, session: SessionState) -> str:
+    def _repack_index(self, statement: Statement, session: SessionState) -> str:
         """``REPACK INDEX <name>``: online re-cluster of degraded subtrees.
 
         A maintenance statement in the VACUUM mould: refused inside a
@@ -469,25 +358,17 @@ class Database:
         """
         if session.current is not None:
             raise SQLError("REPACK INDEX cannot run inside a transaction block")
-        _table, index = self.find_index(index_name)
-        if index.access_method != "sp_gist":
-            raise SQLError(
-                f"REPACK INDEX supports SP-GiST indexes; {index_name!r} "
-                f"uses {index.access_method!r}"
-            )
-        stats = index.structure.repack_online()
+        stats = self._spgist(statement, "REPACK INDEX").repack_online()
         self._on_txn_commit(None)
         return (
-            f"REPACK INDEX {index_name}: {stats.subtrees_repacked} subtrees, "
+            f"REPACK INDEX {statement.index}: {stats.subtrees_repacked} subtrees, "
             f"{stats.nodes_moved} nodes moved, {stats.pages_freed} pages "
             f"freed; fill {stats.fill_before:.2f} -> {stats.fill_after:.2f}"
         )
 
     # -- cursors ---------------------------------------------------------------------
 
-    def _declare_cursor(
-        self, name: str, inner_sql: str, session: SessionState
-    ) -> str:
+    def _declare(self, statement: Statement, session: SessionState) -> str:
         """``DECLARE <name> CURSOR FOR SELECT ...``: open a cursor.
 
         Inside a transaction block the cursor streams lazily through the
@@ -495,48 +376,39 @@ class Database:
         ``WITH HOLD`` behaviour), so later statements — even index
         maintenance — cannot invalidate it.
         """
+        name = statement.cursor
         key = name.lower()
         if key in session.cursors:
             raise SQLError(f"cursor {name!r} already exists")
-        match = _SELECT.match(inner_sql)
-        if not match:
-            raise SQLError(
-                f"DECLARE CURSOR supports only SELECT, got: {inner_sql!r}"
-            )
-        batches = self._select_batches(*match.groups(), session=session)
+        batches = self._select_batches(statement.inner, session)
         held = session.current is None
         if held:
             batches = list(batches)
         session.cursors[key] = Cursor(key, batches, held)
         return f"DECLARE {name}"
 
-    def _fetch_cursor(
-        self, count: str | None, name: str, session: SessionState
-    ) -> list[tuple]:
+    def _fetch(self, statement: Statement, session: SessionState) -> list[tuple]:
         """``FETCH [n|ALL] [FROM] <name>``: the next page of rows.
 
         Without a count, one executor batch (``SETTINGS.batch_size`` rows)
         is returned — the cheap-pagination contract: the server hands out
         exactly the batches the executor produced.
         """
-        cursor = session.cursors.get(name.lower())
+        cursor = session.cursors.get(statement.cursor.lower())
         if cursor is None:
-            raise SQLError(f"unknown cursor {name!r}")
-        if count is None:
-            return cursor.fetch(None)
-        if count.lower() == "all":
-            return cursor.fetch(-1)
-        return cursor.fetch(int(count))
+            raise SQLError(f"unknown cursor {statement.cursor!r}")
+        return cursor.fetch(statement.count)
 
-    def _close_cursor(self, name: str, session: SessionState) -> str:
+    def _close(self, statement: Statement, session: SessionState) -> str:
         """``CLOSE <name>``: drop a cursor."""
+        name = statement.cursor
         cursor = session.cursors.pop(name.lower(), None)
         if cursor is None:
             raise SQLError(f"unknown cursor {name!r}")
         cursor.close()
         return f"CLOSE {name}"
 
-    def _select_incidents(self) -> list[tuple]:
+    def _incidents(self, statement: Statement, session: SessionState) -> list[tuple]:
         """``SELECT * FROM repro_incidents()``: the incident log as rows.
 
         A set-returning function in the PostgreSQL style: one row per
@@ -550,11 +422,20 @@ class Database:
             for i in INCIDENTS.incidents
         ]
 
-    def _drop_index(self, index_name: str, table_name: str) -> str:
-        self.table(table_name).drop_index(index_name)
-        return f"DROP INDEX {index_name}"
+    def _heap_stats(self, statement: Statement, session: SessionState) -> list[tuple]:
+        """``SELECT * FROM repro_heap_stats('t')``: heap version accounting."""
+        return self.table(statement.table).heap_stats()
 
-    def _drop_table(self, name: str) -> str:
+    def _analyze(self, statement: Statement, session: SessionState) -> str:
+        self.table(statement.table).analyze()
+        return f"ANALYZE {statement.table}"
+
+    def _drop_index(self, statement: Statement, session: SessionState) -> str:
+        self.table(statement.table).drop_index(statement.index)
+        return f"DROP INDEX {statement.index}"
+
+    def _drop_table(self, statement: Statement, session: SessionState) -> str:
+        name = statement.table
         if name.lower() not in self.tables:
             raise SQLError(f"unknown table {name!r}")
         del self.tables[name.lower()]
@@ -562,7 +443,7 @@ class Database:
 
     # -- transaction control ---------------------------------------------------------
 
-    def _begin(self, session: SessionState) -> str:
+    def _begin(self, statement: Statement, session: SessionState) -> str:
         if session.current is not None:
             raise SQLError("a transaction is already in progress")
         session.current = self.txn.begin()
@@ -570,25 +451,24 @@ class Database:
         session.block_tables = set()
         return "BEGIN"
 
-    def _commit(self, session: SessionState) -> str:
+    def _end_block(self, session: SessionState) -> Transaction:
         if session.current is None:
             raise SQLError("no transaction in progress")
-        txn = session.current
-        session.current = None
+        txn, session.current = session.current, None
         session.drop_block_cursors()
+        return txn
+
+    def _commit(self, statement: Statement, session: SessionState) -> str:
+        txn = self._end_block(session)
         self.txn.commit(txn)
         self._on_txn_commit(txn)
         self._prune_after_commit(txn, session.block_tables)
         session.block_tables = set()
         return "COMMIT"
 
-    def _rollback(self, session: SessionState) -> str:
-        if session.current is None:
-            raise SQLError("no transaction in progress")
-        txn = session.current
-        session.current = None
+    def _rollback(self, statement: Statement, session: SessionState) -> str:
+        txn = self._end_block(session)
         session.block_tables = set()
-        session.drop_block_cursors()
         self.txn.abort(txn)
         return "ROLLBACK"
 
@@ -601,7 +481,8 @@ class Database:
         (VACUUM) that mutate pages without a user transaction.
         """
 
-    def _vacuum(self, table_name: str, session: SessionState) -> str:
+    def _vacuum(self, statement: Statement, session: SessionState) -> str:
+        table_name = statement.table
         if session.current is not None:
             raise SQLError("VACUUM cannot run inside a transaction block")
         stats = self.table(table_name).vacuum()
@@ -653,10 +534,7 @@ class Database:
         the block (both as a rollback).
         """
         if not autocommit:
-            session.current = None
-            session.failed = True
-            session.block_tables = set()
-            session.drop_block_cursors()
+            session.fail_block()
         if txn.is_open:
             self.txn.abort(txn)
 
@@ -689,32 +567,23 @@ class Database:
 
     # -- DML -------------------------------------------------------------------------
 
-    def _insert(
-        self, table_name: str, values_spec: str, session: SessionState
-    ) -> str:
+    def _insert(self, statement: Statement, session: SessionState) -> str:
         """INSERT one row — or many: ``VALUES (...), (...), ...``.
 
         Multi-row statements take the batched write path
         (:meth:`Table.insert_many`), which amortizes heap appends and runs
         each index's batch insert once instead of once per row.
         """
-        table = self.table(table_name)
+        table = self.table(statement.table)
+        types = [column.type_name for column in table.columns]
+        bind = self._bind_literal
         rows = []
-        for row_spec in self._split_row_groups(values_spec):
-            literals = self._split_top_level(row_spec)
-            if len(literals) != len(table.columns):
+        for literals in statement.rows:
+            if len(literals) != len(types):
                 raise SQLError(
-                    f"INSERT arity {len(literals)} != table arity "
-                    f"{len(table.columns)}"
+                    f"INSERT arity {len(literals)} != table arity {len(types)}"
                 )
-            rows.append(
-                tuple(
-                    self._bind_literal(literal.strip(), column.type_name)
-                    for literal, column in zip(literals, table.columns)
-                )
-            )
-        if not rows:
-            raise SQLError("INSERT requires at least one VALUES row")
+            rows.append(tuple(map(bind, literals, types)))
         txn, autocommit = self._write_txn(session)
         try:
             if len(rows) == 1:
@@ -749,16 +618,42 @@ class Database:
                 victims.append((tid, row))
         return victims
 
-    def _delete(
+    def _delete(self, statement: Statement, session: SessionState) -> str:
+        table = self.table(statement.table)
+        predicate = self._bind_predicate(table, statement.predicate)
+        count = self._write_victims(
+            table, predicate, session, lambda tid, _row, txn: table.mvcc_delete(tid, txn)
+        )
+        return f"DELETE {count}"
+
+    def _update(self, statement: Statement, session: SessionState) -> str:
+        """UPDATE: new versions for every matching row, one transaction.
+
+        The old version's expiry and the new version's insert carry the
+        same xid, so readers see either both or neither — the atomic
+        index-maintenance fix rides on the MVCC layer.
+        """
+        table = self.table(statement.table)
+        predicate = self._bind_predicate(table, statement.predicate)
+        position = table.column_index(statement.columns[0])
+        value = self._bind_literal(
+            statement.rows[0][0], table.columns[position].type_name
+        )
+
+        def update(tid: Any, row: tuple, txn: Transaction) -> None:
+            table.mvcc_update(tid, row[:position] + (value,) + row[position + 1:], txn)
+
+        return f"UPDATE {self._write_victims(table, predicate, session, update)}"
+
+    def _write_victims(
         self,
-        table_name: str,
-        column: str,
-        op: str,
-        literal: str,
+        table: Table,
+        predicate: Predicate,
         session: SessionState,
-    ) -> str:
-        table = self.table(table_name)
-        predicate = self._bind_predicate(table, column, op, literal)
+        write: Callable[[Any, tuple, Transaction], None],
+    ) -> int:
+        """Run ``write(tid, row, txn)`` over every row the predicate
+        selects, in one transaction; returns the row count."""
         txn, autocommit = self._write_txn(session)
         try:
             victims = self._find_victims(table, predicate, txn.snapshot, session)
@@ -773,90 +668,21 @@ class Database:
             self._abort_write(txn, autocommit, session)
             raise
         try:
-            for tid, _row in victims:
-                table.mvcc_delete(tid, txn)
-        except Exception:
-            self._abort_write(txn, autocommit, session)
-            raise
-        self._finish_write(txn, autocommit, table, session)
-        return f"DELETE {len(victims)}"
-
-    def _update(
-        self,
-        table_name: str,
-        set_column: str,
-        set_literal: str,
-        column: str,
-        op: str,
-        literal: str,
-        session: SessionState,
-    ) -> str:
-        """UPDATE: new versions for every matching row, one transaction.
-
-        The old version's expiry and the new version's insert carry the
-        same xid, so readers see either both or neither — the atomic
-        index-maintenance fix rides on the MVCC layer.
-        """
-        table = self.table(table_name)
-        predicate = self._bind_predicate(table, column, op, literal)
-        set_position = table.column_index(set_column)
-        new_value = self._bind_literal(
-            set_literal.strip(), table.columns[set_position].type_name
-        )
-        txn, autocommit = self._write_txn(session)
-        try:
-            victims = self._find_victims(table, predicate, txn.snapshot, session)
-            self._lock_victims(session, table, victims)
-        except WouldBlock:
-            if autocommit:
-                self._abort_write(txn, True, session)
-            raise
-        except Exception:
-            self._abort_write(txn, autocommit, session)
-            raise
-        try:
             for tid, row in victims:
-                new_row = (
-                    row[:set_position] + (new_value,) + row[set_position + 1:]
-                )
-                table.mvcc_update(tid, new_row, txn)
+                write(tid, row, txn)
         except Exception:
             self._abort_write(txn, autocommit, session)
             raise
         self._finish_write(txn, autocommit, table, session)
-        return f"UPDATE {len(victims)}"
+        return len(victims)
 
     # -- queries -----------------------------------------------------------------------
 
-    def _select(
-        self,
-        select_list: str,
-        table_name: str,
-        column: str | None,
-        op: str | None,
-        literal: str | None,
-        limit: str | None,
-        session: SessionState | None = None,
-    ) -> Iterable[tuple]:
-        if session is None:
-            session = self._session
-        return (
-            row
-            for batch in self._select_batches(
-                select_list, table_name, column, op, literal, limit, session
-            )
-            for row in batch
-        )
+    def _select(self, statement: Statement, session: SessionState) -> list[tuple]:
+        return [row for batch in self._select_batches(statement, session) for row in batch]
 
     def _select_batches(
-        self,
-        select_list: str,
-        table_name: str,
-        column: str | None,
-        op: str | None,
-        literal: str | None,
-        limit: str | None,
-        session: SessionState,
+        self, statement: Statement, session: SessionState
     ) -> Iterable[list[tuple]]:
         """The batched SELECT pipeline every consumer shares.
 
@@ -864,27 +690,23 @@ class Database:
         whole executor batches; :meth:`_select` flattens the stream for
         the statement API, while DECLARE CURSOR paginates it as-is.
         """
-        plan = self._plan_select(table_name, column, op, literal, session)
+        plan = self._plan_select(statement, session)
         # A LIMIT caps the batch size so lazy scans (NN especially) never
         # produce more rows than the limit needs plus a partial batch.
+        limit = statement.limit
         batch_size = None
         if limit is not None:
-            batch_size = max(1, min(SETTINGS.batch_size, int(limit)))
+            batch_size = max(1, min(SETTINGS.batch_size, limit))
         batches = execute_plan_batches(plan, batch_size=batch_size)
         if session.deadline_check is not None:
             batches = self._checked_batches(batches, session.deadline_check)
         if limit is not None:
-            batches = self._limited_batches(batches, int(limit))
-        select_list = select_list.strip()
-        if select_list == "*":
+            batches = limit_batches(batches, limit)
+        if statement.columns == ("*",):
             return batches
-        if select_list.lower() == "count(*)":
+        if statement.columns == ("count(*)",):
             return iter([[(sum(len(batch) for batch in batches),)]])
-        table = self.table(table_name)
-        positions = [
-            table.column_index(name.strip())
-            for name in select_list.split(",")
-        ]
+        positions = [plan.table.column_index(name) for name in statement.columns]
         # itemgetter projects a whole batch with no per-row bytecode; the
         # single-column case needs the 1-tuple wrapped by hand.
         if len(positions) == 1:
@@ -893,12 +715,11 @@ class Database:
         project = itemgetter(*positions)
         return ([project(row) for row in batch] for batch in batches)
 
-    def _explain(self, inner_sql: str, execute: bool = False) -> str:
+    def _explain(self, statement: Statement, session: SessionState) -> str:
         from repro.engine.explain import explain, explain_analyze
 
-        if execute:
-            return explain_analyze(self, inner_sql).render()
-        return explain(self, inner_sql).render()
+        report = explain_analyze if statement.analyze else explain
+        return report(self, statement.inner, session).render()
 
     @staticmethod
     def _checked_batches(
@@ -915,46 +736,11 @@ class Database:
             yield batch
             check()
 
-    @staticmethod
-    def _limited_batches(batches: Iterable[list[tuple]], limit: int):
-        """LIMIT applied batch-wise: truncate the batch that crosses it."""
-        if limit <= 0:
-            return
-        taken = 0
-        for batch in batches:
-            remaining = limit - taken
-            if len(batch) >= remaining:
-                yield batch[:remaining]
-                return
-            taken += len(batch)
-            yield batch
-
-    def _parse_select(
-        self, inner_sql: str, session: SessionState | None = None
-    ) -> tuple[Plan, int | None]:
-        """Plan a bare SELECT, returning the access path and LIMIT (if any)."""
-        match = _SELECT.match(inner_sql)
-        if not match:
-            raise SQLError(f"EXPLAIN supports only SELECT, got: {inner_sql!r}")
-        _select_list, table_name, column, op, literal, limit = match.groups()
-        plan = self._plan_select(
-            table_name, column, op, literal, session or self._session
-        )
-        return plan, (int(limit) if limit is not None else None)
-
-    def _plan_select(
-        self,
-        table_name: str,
-        column: str | None,
-        op: str | None,
-        literal: str | None,
-        session: SessionState,
-    ) -> Plan:
-        table = self.table(table_name)
+    def _plan_select(self, statement: Statement, session: SessionState) -> Plan:
+        table = self.table(statement.table)
         predicate = None
-        if column is not None:
-            assert op is not None and literal is not None
-            predicate = self._bind_predicate(table, column, op, literal)
+        if statement.predicate is not None:
+            predicate = self._bind_predicate(table, statement.predicate)
         plan = plan_query(table, predicate)
         if session.current is not None:
             # Inside BEGIN ... COMMIT every statement reads through the
@@ -965,8 +751,9 @@ class Database:
     # -- literal binding -------------------------------------------------------------------
 
     def _bind_predicate(
-        self, table: Table, column: str, op: str, literal: str
+        self, table: Table, predicate: tuple[str, str, Literal]
     ) -> Predicate:
+        column, op, literal = predicate
         col = table.column(column)
         if op == NN_OPERATOR:
             # The NN query object is a value of the column's "query space":
@@ -982,116 +769,25 @@ class Database:
         return Predicate(column, op, self._bind_literal(literal, operand_type))
 
     @staticmethod
-    def _unquote(text: str) -> str | None:
-        """Strip outer quotes and fold ``''`` escapes; None if not quoted.
-
-        Raises :class:`SQLError` on an unterminated or malformed literal
-        (a stray single quote inside the body) instead of letting it fall
-        through to the bare-token parsers.
-        """
-        if not text.startswith("'"):
-            return None
-        body = text[1:-1] if len(text) >= 2 and text.endswith("'") else None
-        if body is None or body.replace("''", "").count("'"):
-            raise SQLError(f"unterminated string literal: {text!r}")
-        return body.replace("''", "'")
-
-    @staticmethod
-    def _bind_literal(literal: str, type_name: str) -> Any:
-        text = literal.strip()
-        unquoted = Database._unquote(text)
-        quoted = unquoted is not None
-        if quoted:
-            text = unquoted
+    def _bind_literal(literal: Literal, type_name: str) -> Any:
+        text = literal.text
         if type_name == "varchar":
-            if not quoted:
-                raise SQLError(f"varchar literals must be quoted: {literal!r}")
+            if not literal.quoted:
+                raise SQLError(f"varchar literals must be quoted: {text!r}")
             return text
+        parser = _LITERAL_PARSERS.get(type_name)
+        if parser is None:
+            raise SQLError(f"cannot bind literal for type {type_name!r}")
         # Scalar/geometry parsers raise bare ValueError/TypeError on
         # malformed input; those are internal exceptions, so the front end
         # wraps them as typed SQLError binding failures.
         try:
-            if type_name == "int":
-                return int(text)
-            if type_name == "float":
-                return float(text)
-            if type_name == "point":
-                return Point.parse(text)
-            if type_name == "box":
-                return Box.parse(text)
-            if type_name == "lseg":
-                return LineSegment.parse(text)
+            return parser(text)
         except (ValueError, TypeError, IndexError) as exc:
             raise SQLError(
-                f"cannot bind literal {literal!r} as {type_name}: {exc}"
+                f"cannot bind literal {text!r} as {type_name}: {exc}"
             ) from None
-        raise SQLError(f"cannot bind literal for type {type_name!r}")
 
-    @staticmethod
-    def _split_row_groups(spec: str) -> list[str]:
-        """Extract the top-level ``(...)`` groups of a VALUES list.
 
-        Quote-aware and nesting-aware, so geometry literals like
-        ``'(1,2)'`` inside a row never open a new group.
-        """
-        rows: list[str] = []
-        depth = 0
-        in_quote = False
-        current: list[str] = []
-        for ch in spec:
-            if in_quote:
-                current.append(ch)
-                if ch == "'":
-                    in_quote = False
-                continue
-            if ch == "'":
-                in_quote = True
-                current.append(ch)
-                continue
-            if ch == "(":
-                depth += 1
-                if depth == 1:
-                    current = []
-                    continue
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    raise SQLError("unbalanced parentheses in VALUES list")
-                if depth == 0:
-                    rows.append("".join(current))
-                    continue
-            if depth >= 1:
-                current.append(ch)
-            elif not ch.isspace() and ch != ",":
-                raise SQLError(
-                    f"unexpected {ch!r} between VALUES rows"
-                )
-        if depth != 0 or in_quote:
-            raise SQLError("unbalanced VALUES list")
-        return rows
-
-    @staticmethod
-    def _split_top_level(spec: str) -> list[str]:
-        """Split on commas not nested in parentheses/brackets/quotes."""
-        parts: list[str] = []
-        depth = 0
-        in_quote = False
-        current: list[str] = []
-        for ch in spec:
-            if ch == "'" and not in_quote:
-                in_quote = True
-            elif ch == "'" and in_quote:
-                in_quote = False
-            elif not in_quote:
-                if ch in "([":
-                    depth += 1
-                elif ch in ")]":
-                    depth -= 1
-                elif ch == "," and depth == 0:
-                    parts.append("".join(current))
-                    current = []
-                    continue
-            current.append(ch)
-        if current:
-            parts.append("".join(current))
-        return [part for part in (p.strip() for p in parts) if part]
+def _parsed(sql: str | Statement) -> Statement:
+    return sql if isinstance(sql, Statement) else parse(sql)

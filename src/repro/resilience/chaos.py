@@ -399,14 +399,14 @@ class Shared:
             self.counts[name] = self.counts.get(name, 0) + n
 
 
-def locked_shed(mgr: Any, rdb: Any, sql: str) -> Any:
+def locked_shed(mgr: Any, rdb: Any, statement: Any) -> Any:
     """Standby read under the engine mutex.
 
     Shed reads race the schedule's ticks, so the shed path takes the same
     mutex statements do.
     """
     with mgr.engine_mutex:
-        return rdb.standby_reader(sql)
+        return rdb.standby_reader(statement)
 
 
 def run_campaign(

@@ -541,7 +541,7 @@ def run_threaded_schedule(
     rmgr = SessionManager(rdb, settings=settings)
     # Standby reads race the controller's ticks, so the shed path takes
     # the same engine mutex statements do.
-    rmgr.shed_reader = lambda sql: locked_shed(rmgr, rdb, sql)
+    rmgr.shed_reader = lambda statement: locked_shed(rmgr, rdb, statement)
 
     # -- local side setup ------------------------------------------------------
     ldb = Database()

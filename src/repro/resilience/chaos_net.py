@@ -315,7 +315,7 @@ def _drain_and_restart(
     shared.event(action="drain", **stats)
     shared.bump("drains")
     new_mgr = SessionManager(rdb, settings=settings, dedup=dedup)
-    new_mgr.shed_reader = lambda sql: locked_shed(new_mgr, rdb, sql)
+    new_mgr.shed_reader = lambda statement: locked_shed(new_mgr, rdb, statement)
     new_srv = SQLServer(new_mgr).start()
     holder["mgr"] = new_mgr
     holder["srv"] = new_srv
@@ -369,7 +369,7 @@ def run_net_schedule(
     rdb = ReplicatedDatabase(rs)
     dedup = DedupCache(settings.dedup_cache_size)
     mgr = SessionManager(rdb, settings=settings, dedup=dedup)
-    mgr.shed_reader = lambda sql: locked_shed(mgr, rdb, sql)
+    mgr.shed_reader = lambda statement: locked_shed(mgr, rdb, statement)
     srv = SQLServer(mgr).start()
     holder: dict[str, Any] = {"mgr": mgr, "srv": srv}
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.engine import sql as _sql
+from repro.engine.parse import Statement
 from repro.engine.sql import Database, SessionState
 from repro.engine.txn import Transaction
 from repro.replication.replicaset import ReplicaSet
@@ -73,7 +73,9 @@ class ReplicatedDatabase(Database):
         self.txn = node.txn
         self.epoch += 1
 
-    def execute(self, sql: str, session: SessionState | None = None) -> Any:
+    def execute(
+        self, sql: str | Statement, session: SessionState | None = None
+    ) -> Any:
         self._rebind()
         return super().execute(sql, session)
 
@@ -92,7 +94,7 @@ class ReplicatedDatabase(Database):
 
     # -- overload shedding -----------------------------------------------------
 
-    def standby_reader(self, sql_text: str) -> list | None:
+    def standby_reader(self, statement: Statement) -> list | None:
         """Answer a shed-eligible SELECT from a standby, or decline.
 
         Only ``SELECT * FROM data WHERE key <op> <literal> [LIMIT n]``
@@ -100,22 +102,19 @@ class ReplicatedDatabase(Database):
         Returns None for anything else so the manager falls back to
         normal admission.
         """
-        match = _sql._SELECT.match(sql_text)
-        if match is None:
-            return None
-        select_list, table_name, column, op, literal, limit = match.groups()
         if (
-            table_name.lower() != self.TABLE
-            or select_list.strip() != "*"
-            or column is None
-            or column.lower() != "key"
+            statement.kind != "select"
+            or statement.table.lower() != self.TABLE
+            or statement.columns != ("*",)
+            or statement.predicate is None
+            or statement.predicate[0].lower() != "key"
         ):
             return None
         self._rebind()
         entry_epoch = self.epoch
         table = self.tables[self.TABLE]
         try:
-            predicate = self._bind_predicate(table, column, op, literal)
+            predicate = self._bind_predicate(table, statement.predicate)
         except Exception:
             return None
         rows = self.rs.client_read(predicate.op, predicate.operand)
@@ -134,6 +133,6 @@ class ReplicatedDatabase(Database):
                 return None
             if node.crashed or self.rs.lag_of(node) > self.rs.max_lag:
                 return None
-        if limit is not None:
-            rows = rows[: int(limit)]
+        if statement.limit is not None:
+            rows = rows[: statement.limit]
         return rows

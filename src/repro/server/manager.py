@@ -32,6 +32,7 @@ import time
 from collections import OrderedDict, deque
 from typing import Any, Callable
 
+from repro.engine.parse import Statement, leading_class, parse
 from repro.engine.sql import Database
 from repro.errors import (
     ReplicationError,
@@ -42,7 +43,7 @@ from repro.errors import (
 )
 from repro.obs import METRICS
 from repro.server.locks import LockManager
-from repro.server.session import Session, is_read_only
+from repro.server.session import Session
 from repro.settings import SETTINGS, Settings
 
 QUEUE_DEPTH = METRICS.gauge(
@@ -156,8 +157,8 @@ class DedupCache:
 class PendingStatement:
     """A submitted statement's future: wait() for rows or a raised error."""
 
-    __slots__ = ("session", "sql", "_event", "result", "error", "shed",
-                 "key", "deadline")
+    __slots__ = ("session", "sql", "statement", "_event", "result", "error",
+                 "shed", "key", "deadline")
 
     def __init__(
         self,
@@ -168,6 +169,8 @@ class PendingStatement:
     ) -> None:
         self.session = session
         self.sql = sql
+        #: The parsed form, once the shed path has parsed ``sql``.
+        self.statement: Statement | None = None
         self._event = threading.Event()
         self.result: Any = None
         self.error: BaseException | None = None
@@ -202,7 +205,7 @@ class SessionManager:
         *,
         settings: Settings | None = None,
         locks: LockManager | None = None,
-        shed_reader: Callable[[str], list | None] | None = None,
+        shed_reader: Callable[[Statement], list | None] | None = None,
         dedup: DedupCache | None = None,
     ) -> None:
         self.db = db
@@ -330,8 +333,9 @@ class SessionManager:
                     self.shed_reader is not None
                     and depth >= self.settings.shed_threshold
                     and key is None
-                    and is_read_only(sql)
+                    and leading_class(sql) == "read"
                     and not session.in_transaction
+                    and not session.state.failed
                 )
                 if not shed:
                     if depth >= self.settings.max_queue:
@@ -374,12 +378,14 @@ class SessionManager:
     def _shed(self, pending: PendingStatement) -> None:
         """Answer a read from a standby in the submitting thread.
 
-        Falls back to normal admission when the reader declines the
-        statement (unparseable / not the replicated table).
+        The text is parsed here, and the parsed statement is what runs if
+        the reader declines it (not the replicated table's shape) and it
+        falls back to normal admission.
         """
         assert self.shed_reader is not None
         try:
-            rows = self.shed_reader(pending.sql)
+            pending.statement = parse(pending.sql)
+            rows = self.shed_reader(pending.statement)
         except Exception as exc:
             pending._finish(error=exc)
             return
@@ -437,8 +443,10 @@ class SessionManager:
                         raise StatementTimeoutError(
                             "canceling statement: deadline expired while queued"
                         )
+                statement = pending.statement
                 result = pending.session.execute(
-                    pending.sql, statement_timeout=remaining
+                    pending.sql if statement is None else statement,
+                    statement_timeout=remaining,
                 )
             except BaseException as exc:  # noqa: BLE001 - future carries it
                 if pending.key is not None:

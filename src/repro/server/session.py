@@ -4,9 +4,9 @@ A :class:`Session` wraps the engine's per-session
 :class:`~repro.engine.sql.SessionState` with the server-side concerns the
 engine deliberately knows nothing about:
 
-- **Two-phase locking.** Before a statement enters the engine the session
-  classifies it and takes the table lock it implies (SHARED for reads,
-  ROW for DML, EXCLUSIVE for VACUUM/DDL). During DML the engine calls
+- **Two-phase locking.** The session parses each statement once and,
+  before it enters the engine, takes the table lock its kind implies
+  (SHARED for reads, ROW for DML, EXCLUSIVE for VACUUM/DDL). During DML the engine calls
   back (``row_locker``) for every tuple it is about to claim; the hook
   try-acquires the TID lock and, when it would block, unwinds the
   statement with :class:`~repro.engine.sql.WouldBlock` so the session can
@@ -32,17 +32,17 @@ manager provides the *logical* interleaving on top.
 from __future__ import annotations
 
 import itertools
-import re
 import threading
 import time
 from typing import Any
 
+from repro.engine.parse import Statement, parse
 from repro.engine.sql import Database, SessionState, WouldBlock
-from repro.engine import sql as _sql
 from repro.errors import (
     DeadlockError,
     LockTimeoutError,
     SessionClosedError,
+    SQLError,
     StatementTimeoutError,
 )
 from repro.server.locks import LockManager, LockMode, LockOwner, row_key, table_key
@@ -51,73 +51,44 @@ from repro.settings import SETTINGS, Settings
 #: Transaction birth stamps for deadlock victim selection (younger = higher).
 _BIRTHS = itertools.count(1)
 
-_READ_ONLY = re.compile(r"^\s*(?:select|explain)\b", re.I)
+#: The table lock each statement kind takes; kinds absent lock nothing
+#: (transaction control, FETCH/CLOSE, the virtual tables).
+_LOCK_MODES = {
+    **dict.fromkeys(("select", "analyze", "check_index"), LockMode.SHARED),
+    **dict.fromkeys(("insert", "update", "delete"), LockMode.ROW),
+    **dict.fromkeys(
+        ("vacuum", "create_table", "drop_table", "create_index",
+         "drop_index", "repack_index"),
+        LockMode.EXCLUSIVE,
+    ),
+}
 
 
-def is_read_only(sql_text: str) -> bool:
-    """True for statements safe to shed to a standby (SELECT/EXPLAIN)."""
-    return bool(_READ_ONLY.match(sql_text))
-
-
-def _classify(
-    sql_text: str, db: Database | None = None
+def table_locks(
+    statement: Statement, db: Database | None = None
 ) -> list[tuple[tuple, LockMode]]:
     """The table locks a statement implies, before the engine sees it.
 
-    Mirrors the engine's dispatch order (virtual tables before the
-    general SELECT rule). Unrecognized statements lock nothing — the
-    engine will reject them with ``SQLError`` anyway. ``db`` resolves
-    index names to their owning table (REPACK INDEX); without it such
-    statements lock nothing and rely on the engine's own checks.
+    EXPLAIN and DECLARE lock through their inner SELECT; strict 2PL holds
+    a DECLARE's SHARED lock to transaction end, so in-block FETCHes stream
+    safely. ``db`` resolves CHECK/REPACK INDEX to the owning table;
+    without it, or for an unknown index, they lock nothing and the engine
+    reports the error.
     """
-    if _sql._SELECT_INCIDENTS.match(sql_text) or _sql._SELECT_HEAP_STATS.match(
-        sql_text
-    ):
+    if statement.inner is not None:
+        statement = statement.inner
+    mode = _LOCK_MODES.get(statement.kind)
+    if mode is None:
         return []
-    match = _sql._EXPLAIN_ANALYZE.match(sql_text) or _sql._EXPLAIN.match(sql_text)
-    if match:
-        return _classify(match.group(1), db)
-    match = _sql._SELECT.match(sql_text)
-    if match:
-        return [(table_key(match.group(2)), LockMode.SHARED)]
-    match = _sql._DECLARE_CURSOR.match(sql_text)
-    if match:
-        # The cursor reads through its inner SELECT; the SHARED lock taken
-        # here is held to transaction end (strict 2PL), so in-block FETCHes
-        # stream safely while maintenance (VACUUM/REPACK) is kept out.
-        return _classify(match.group(2), db)
-    if _sql._FETCH.match(sql_text) or _sql._CLOSE.match(sql_text):
-        # In a block the DECLARE's lock still protects the scan; held
-        # (autocommit) cursors were materialized at DECLARE time.
-        return []
-    match = _sql._REPACK_INDEX.match(sql_text)
-    if match:
+    table = statement.table
+    if table is None:
         if db is None:
             return []
         try:
-            table, _ = db.find_index(match.group(1))
-        except Exception:
-            return []  # engine will report the unknown index
-        return [(table_key(table.name), LockMode.EXCLUSIVE)]
-    match = _sql._INSERT.match(sql_text)
-    if match:
-        return [(table_key(match.group(1)), LockMode.ROW)]
-    match = _sql._DELETE.match(sql_text) or _sql._UPDATE.match(sql_text)
-    if match:
-        return [(table_key(match.group(1)), LockMode.ROW)]
-    match = _sql._VACUUM.match(sql_text) or _sql._DROP_TABLE.match(sql_text)
-    if match:
-        return [(table_key(match.group(1)), LockMode.EXCLUSIVE)]
-    match = _sql._CREATE_TABLE.match(sql_text)
-    if match:
-        return [(table_key(match.group(1)), LockMode.EXCLUSIVE)]
-    match = _sql._CREATE_INDEX.match(sql_text) or _sql._DROP_INDEX.match(sql_text)
-    if match:
-        return [(table_key(match.group(2)), LockMode.EXCLUSIVE)]
-    match = _sql._ANALYZE.match(sql_text) or _sql._CHECK_INDEX.match(sql_text)
-    if match:
-        return [(table_key(match.group(1)), LockMode.SHARED)]
-    return []
+            table = db.find_index(statement.index)[0].name
+        except SQLError:
+            return []
+    return [(table_key(table), mode)]
 
 
 class Session:
@@ -183,11 +154,8 @@ class Session:
         back immediately so its locks and snapshot stop blocking others.
         """
         with self.engine_mutex:
-            txn = self.state.current
-            if txn is not None:
-                self.state.current = None
-                self.state.failed = True
-                self.state.block_tables = set()
+            if self.state.current is not None:
+                txn = self.state.fail_block()
                 if txn.is_open:
                     self.db.txn.abort(txn)
 
@@ -195,7 +163,7 @@ class Session:
 
     def execute(
         self,
-        sql_text: str,
+        sql: str | Statement,
         *,
         statement_timeout: float | None = None,
         lock_timeout: float | None = None,
@@ -207,6 +175,8 @@ class Session:
         :class:`StatementTimeoutError` from the locking layer — all of
         which leave the session in the same state an engine error would
         (autocommit: transaction gone; block: aborted until rollback).
+        Text is parsed here, once; text that does not parse takes no locks
+        and goes on to the engine, whose error path aborts an open block.
         """
         if self.closed:
             raise SessionClosedError(f"session {self.name} is closed")
@@ -216,12 +186,20 @@ class Session:
         lk_timeout = self._setting("lock_timeout", lock_timeout)
         deadline = None if st_timeout is None else time.monotonic() + st_timeout
 
+        statement: str | Statement = sql
+        if isinstance(sql, str):
+            try:
+                statement = parse(sql)
+            except SQLError:
+                pass
         # A statement in a failed block takes no locks: the engine
         # rejects it (TxnAbortedError) or ends the block (COMMIT/ROLLBACK).
-        table_locks = [] if self.state.failed else _classify(sql_text, self.db)
+        locks = []
+        if isinstance(statement, Statement) and not self.state.failed:
+            locks = table_locks(statement, self.db)
 
         try:
-            for key, mode in table_locks:
+            for key, mode in locks:
                 self.locks.acquire(
                     self.owner,
                     key,
@@ -229,7 +207,7 @@ class Session:
                     lock_timeout=lk_timeout,
                     deadline=deadline,
                 )
-            return self._run_with_row_locks(sql_text, lk_timeout, deadline)
+            return self._run_with_row_locks(statement, lk_timeout, deadline)
         except (DeadlockError, LockTimeoutError, StatementTimeoutError):
             self._abort_open_txn()
             raise
@@ -237,7 +215,10 @@ class Session:
             self._end_scope_if_over()
 
     def _run_with_row_locks(
-        self, sql_text: str, lk_timeout: float | None, deadline: float | None
+        self,
+        statement: str | Statement,
+        lk_timeout: float | None,
+        deadline: float | None,
     ) -> Any:
         """The engine-side retry loop: execute, wait on TID locks, retry."""
         owner = self.owner
@@ -259,7 +240,7 @@ class Session:
                     self.state.row_locker = row_locker
                     self.state.deadline_check = deadline_check
                     try:
-                        return self.db.execute(sql_text, session=self.state)
+                        return self.db.execute(statement, session=self.state)
                     finally:
                         self.state.row_locker = None
                         self.state.deadline_check = None

@@ -19,6 +19,7 @@ import tempfile
 
 import pytest
 
+from repro.engine.parse import parse
 from repro.replication.replicaset import ReplicaSet
 from repro.resilience.faults import ChannelFaultPolicy
 from repro.server.bridge import ReplicatedDatabase
@@ -128,7 +129,7 @@ class TestStandbyReaderEpochFence:
             rs = _cluster_with_lagged_standby(tmp)
             rdb = ReplicatedDatabase(rs)
             self._failover_during_read(rs, rdb)
-            result = rdb.standby_reader("SELECT * FROM data WHERE key = 'word-4'")
+            result = rdb.standby_reader(parse("SELECT * FROM data WHERE key = 'word-4'"))
             assert result is None, (
                 "epoch fence must decline a shed read served beyond "
                 "max_lag of the new primary"
@@ -151,7 +152,7 @@ class TestStandbyReaderEpochFence:
                 return rows
 
             rs.client_read = read_with_benign_failover  # type: ignore[method-assign]
-            result = rdb.standby_reader("SELECT * FROM data WHERE key = 'word-4'")
+            result = rdb.standby_reader(parse("SELECT * FROM data WHERE key = 'word-4'"))
             # The serving node IS the new primary (lag 0): rows stand.
             assert result is not None and len(result) == 1
             rs.close()
@@ -160,6 +161,6 @@ class TestStandbyReaderEpochFence:
         with tempfile.TemporaryDirectory() as tmp:
             rs = _cluster_with_lagged_standby(tmp)
             rdb = ReplicatedDatabase(rs)
-            result = rdb.standby_reader("SELECT * FROM data WHERE key = 'word-4'")
+            result = rdb.standby_reader(parse("SELECT * FROM data WHERE key = 'word-4'"))
             assert result is not None and len(result) == 1
             rs.close()

@@ -14,7 +14,8 @@ import time
 from repro.engine.sql import Database
 from repro.server.locks import LockManager, LockMode, LockOwner, table_key
 from repro.server.repack import AutoRepacker
-from repro.server.session import _classify
+from repro.engine.parse import parse
+from repro.server.session import table_locks
 
 
 def _degraded_db(rows: int = 180) -> Database:
@@ -150,24 +151,28 @@ class TestDaemon:
 class TestClassification:
     def test_repack_takes_exclusive_on_owning_table(self):
         db = _degraded_db()
-        assert _classify("REPACK INDEX t_idx;", db) == [
+        assert table_locks(parse("REPACK INDEX t_idx;"), db) == [
             (table_key("t"), LockMode.EXCLUSIVE)
+        ]
+        # CHECK INDEX names the index too; its SHARED lock is the table's.
+        assert table_locks(parse("CHECK INDEX t_idx"), db) == [
+            (table_key("t"), LockMode.SHARED)
         ]
 
     def test_repack_unknown_index_locks_nothing(self):
         db = _degraded_db()
-        assert _classify("REPACK INDEX nope;", db) == []
-        assert _classify("REPACK INDEX t_idx;", None) == []
+        assert table_locks(parse("REPACK INDEX nope;"), db) == []
+        assert table_locks(parse("REPACK INDEX t_idx;"), None) == []
 
     def test_declare_cursor_takes_shared_via_inner_select(self):
-        assert _classify("DECLARE c CURSOR FOR SELECT * FROM t;") == [
+        assert table_locks(parse("DECLARE c CURSOR FOR SELECT * FROM t;")) == [
             (table_key("t"), LockMode.SHARED)
         ]
 
     def test_fetch_and_close_lock_nothing(self):
-        assert _classify("FETCH 10 FROM c;") == []
-        assert _classify("FETCH ALL FROM c;") == []
-        assert _classify("CLOSE c;") == []
+        assert table_locks(parse("FETCH 10 FROM c;")) == []
+        assert table_locks(parse("FETCH ALL FROM c;")) == []
+        assert table_locks(parse("CLOSE c;")) == []
 
 
 class TestPerWaiterWakeups:

@@ -18,7 +18,8 @@ from repro.errors import (
     TxnError,
 )
 from repro.server.locks import LockManager, LockMode, table_key
-from repro.server.session import Session, _classify, is_read_only
+from repro.engine.parse import leading_class, parse
+from repro.server.session import Session, table_locks
 from repro.settings import SETTINGS
 
 
@@ -42,6 +43,10 @@ def stack(db):
         return Session(name, db, locks, engine_mutex=mutex, settings=SETTINGS)
 
     return db, locks, make
+
+
+def _classify(sql_text, db=None):
+    return table_locks(parse(sql_text), db)
 
 
 class TestClassification:
@@ -78,10 +83,14 @@ class TestClassification:
         ]
 
     def test_read_only_detector(self):
-        assert is_read_only("SELECT * FROM t;")
-        assert is_read_only("  explain select * from t;")
-        assert not is_read_only("INSERT INTO t VALUES ('x', 1);")
-        assert not is_read_only("VACUUM t;")
+        for sql, read_only in (
+            ("SELECT * FROM t;", True),
+            ("  explain select * from t;", True),
+            ("INSERT INTO t VALUES ('x', 1);", False),
+            ("VACUUM t;", False),
+        ):
+            assert parse(sql).read_only is read_only
+            assert (leading_class(sql) == "read") is read_only
 
 
 class TestBasicExecution:
