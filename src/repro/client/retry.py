@@ -41,7 +41,7 @@ from repro.errors import (
 from repro.settings import SETTINGS
 
 #: Transient failures where the statement definitely did NOT execute
-#: (rejected before admission, or never reached a worker): always safe
+#: (rejected at admission, or aborted before it ran): always safe
 #: to retry, keyed or not.
 RETRY_SAFE = (
     DeadlockError,          # victim rolled back; rerun expected to succeed

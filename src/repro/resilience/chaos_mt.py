@@ -3,7 +3,7 @@
 The single-threaded harness (:mod:`repro.resilience.chaos`) drives the
 replication state machine through scripted interleavings; this module
 drives the *whole server stack* — :class:`~repro.server.SessionManager`
-worker pool, :class:`~repro.server.locks.LockManager`, MVCC
+admission, :class:`~repro.server.locks.LockManager`, MVCC
 first-updater-wins, VACUUM, and replication failover — with real
 threads, and asserts the invariants that must hold under **any**
 interleaving:
@@ -23,8 +23,8 @@ interleaving:
 One schedule runs two sides concurrently. The *replicated* side is a
 ``trie`` :class:`~repro.replication.ReplicaSet` behind a
 :class:`~repro.server.ReplicatedDatabase`: writer/reader/vacuum sessions
-run through the manager's worker pool (exercising admission control,
-backpressure, and standby-read shedding) while a controller thread
+run through the manager, each on its own thread (exercising admission
+control, backpressure, and standby-read shedding) while a controller thread
 crashes the primary mid-schedule and ticks the set through failover. The
 *local* side is a plain :class:`~repro.engine.sql.Database` carrying all
 five SP-GiST opclasses, with dedicated sessions injecting guaranteed
@@ -528,7 +528,6 @@ def run_threaded_schedule(
     }
 
     settings = SETTINGS.replace(
-        worker_threads=8,
         max_queue=96,
         shed_threshold=24,
         statement_timeout=30.0,

@@ -357,7 +357,6 @@ def run_net_schedule(
     }
 
     settings = SETTINGS.replace(
-        worker_threads=4,
         max_queue=64,
         shed_threshold=16,
         statement_timeout=30.0,

@@ -9,10 +9,11 @@ supplies that serving layer for the reproduction:
 - :class:`~repro.server.session.Session` — one connection owning at most
   one open transaction, two-phase-locked DML, typed timeout/deadlock
   errors with clean transaction abort;
-- :class:`~repro.server.manager.SessionManager` — a thread-pool of
-  workers multiplexed over sessions, a bounded admission queue with
-  backpressure (:class:`~repro.errors.ServerOverloadedError`), and
-  read-only shedding to lag-bounded standby reads under overload;
+- :class:`~repro.server.manager.SessionManager` — runs each statement on
+  its caller's thread, one at a time per session, with a bounded count
+  of statements in flight (:class:`~repro.errors.ServerOverloadedError`
+  backpressure), read-only shedding to lag-bounded standby reads under
+  overload, and the exactly-once dedup cache;
 - :class:`~repro.server.bridge.ReplicatedDatabase` — the SQL façade over
   a :class:`~repro.replication.ReplicaSet` primary: commits are made
   durable, shipped, and quorum-acknowledged; failover rebinds the façade
@@ -23,14 +24,13 @@ supplies that serving layer for the reproduction:
 
 from repro.server.bridge import ReplicatedDatabase
 from repro.server.locks import LockManager, LockMode, LockOwner
-from repro.server.manager import PendingStatement, SessionManager
+from repro.server.manager import SessionManager
 from repro.server.session import Session
 
 __all__ = [
     "LockManager",
     "LockMode",
     "LockOwner",
-    "PendingStatement",
     "ReplicatedDatabase",
     "Session",
     "SessionManager",

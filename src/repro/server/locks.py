@@ -40,7 +40,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable
 
 from repro.errors import DeadlockError, LockTimeoutError, StatementTimeoutError
 from repro.obs import METRICS
@@ -463,9 +463,3 @@ def table_key(name: str) -> tuple[str, str]:
 def row_key(name: str, tid: Any) -> tuple[str, str, Any]:
     """The lock key for one tuple (TID) of a table."""
     return ("row", name.lower(), tid)
-
-
-def release_owners(manager: LockManager, owners: Iterable[LockOwner]) -> None:
-    """Bulk release (chaos teardown helper)."""
-    for owner in owners:
-        manager.release_all(owner)

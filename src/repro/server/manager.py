@@ -1,35 +1,39 @@
-"""The session multiplexer: worker pool, admission control, shedding.
+"""The session multiplexer: admission control, shedding, exactly-once.
 
 A :class:`SessionManager` owns the shared pieces every session needs —
 the database, the :class:`~repro.server.locks.LockManager`, and the
-engine mutex that serializes physical engine access — and multiplexes a
-fixed pool of worker threads over the connected sessions' statements.
+engine mutex that serializes physical engine access. Like a PostgreSQL
+backend, each statement runs on the thread that asked for it (the
+connection's handler thread on the wire): there is no worker pool and
+no queue between the caller and :meth:`Session.execute`.
 
 Overload protection is layered, in order of engagement:
 
 1. **Bounded sessions.** ``connect`` beyond ``max_sessions`` is refused
    with :class:`~repro.errors.ServerOverloadedError` — no unbounded
    session table.
-2. **Shedding.** Once the statement queue is ``shed_threshold`` deep,
-   read-only statements are answered from a lag-bounded standby via the
-   pluggable ``shed_reader`` (the replication bridge wires this to
-   ``ReplicaSet.client_read``) in the submitting thread, bypassing the
-   queue entirely. Reads degrade gracefully before writes are touched.
-3. **Backpressure.** A submission to a full queue (``max_queue``) is
-   rejected immediately with ``ServerOverloadedError`` — clients back
-   off and retry; the server never queues unboundedly.
+2. **Shedding.** Once ``shed_threshold`` statements are in flight
+   (admitted and not yet finished), read-only statements are answered
+   from a lag-bounded standby via the pluggable ``shed_reader`` (the
+   replication bridge wires this to ``ReplicaSet.client_read``) without
+   entering the engine. Reads degrade gracefully before writes are
+   touched.
+3. **Backpressure.** A statement arriving with ``max_queue`` statements
+   in flight is rejected immediately with ``ServerOverloadedError`` —
+   clients back off and retry.
 
-Per session, statements run one at a time in submission order (a session
-owns at most one open transaction, so out-of-order execution would be
-nonsense); across sessions the workers interleave freely, which is what
-drives the lock manager and MVCC paths concurrently.
+Per session, statements run one at a time under a per-session lock (a
+session owns at most one open transaction); across sessions the callers'
+threads interleave freely, which is what drives the lock manager and
+MVCC paths concurrently. A lock wait therefore holds only its own
+caller's thread, never a thread another session needs.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Any, Callable
 
 from repro.engine.parse import Statement, leading_class, parse
@@ -46,8 +50,8 @@ from repro.server.locks import LockManager
 from repro.server.session import Session
 from repro.settings import SETTINGS, Settings
 
-QUEUE_DEPTH = METRICS.gauge(
-    "server_queue_depth", "Statements waiting in the admission queue."
+IN_FLIGHT = METRICS.gauge(
+    "server_statements_in_flight", "Statements admitted and not yet finished."
 )
 ACTIVE_SESSIONS = METRICS.gauge(
     "server_sessions", "Currently connected sessions."
@@ -90,7 +94,7 @@ class DedupCache:
     because re-executing could double-apply a commit that survived.
 
     A key whose first attempt is still executing is *joined*: the retry
-    shares the original's :class:`PendingStatement` instead of racing it.
+    waits on the original's :class:`PendingStatement` instead of racing it.
     The cache deliberately lives outside any session, so it survives
     reconnects and replica-set failovers for as long as the manager does.
     """
@@ -155,49 +159,30 @@ class DedupCache:
 
 
 class PendingStatement:
-    """A submitted statement's future: wait() for rows or a raised error."""
+    """A keyed statement in flight: the record a joining retry waits on."""
 
-    __slots__ = ("session", "sql", "statement", "_event", "result", "error",
-                 "shed", "key", "deadline")
+    __slots__ = ("_event", "result", "error")
 
-    def __init__(
-        self,
-        session: Session,
-        sql: str,
-        key: str | None = None,
-        deadline: float | None = None,
-    ) -> None:
-        self.session = session
-        self.sql = sql
-        #: The parsed form, once the shed path has parsed ``sql``.
-        self.statement: Statement | None = None
+    def __init__(self) -> None:
         self._event = threading.Event()
         self.result: Any = None
         self.error: BaseException | None = None
-        self.shed = False
-        self.key = key
-        self.deadline = deadline
 
     def _finish(self, result: Any = None, error: BaseException | None = None) -> None:
         self.result = result
         self.error = error
         self._event.set()
 
-    def done(self) -> bool:
-        """True once the statement has a result or an error."""
-        return self._event.is_set()
-
-    def wait(self, timeout: float | None = None) -> Any:
-        """Block until executed; return the rows or re-raise the error."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(f"statement still pending: {self.sql!r}")
+    def wait(self) -> Any:
+        """Block until the original finishes; return its rows or re-raise."""
+        self._event.wait()
         if self.error is not None:
             raise self.error
         return self.result
 
 
 class SessionManager:
-    """Multiplex a worker pool over sessions with bounded admission."""
+    """Run each session's statements on its caller's thread, with bounded admission."""
 
     def __init__(
         self,
@@ -219,33 +204,30 @@ class SessionManager:
             self.settings.dedup_cache_size
         )
         self._mu = threading.Lock()
-        self._work = threading.Condition(self._mu)
-        self._queue: deque[PendingStatement] = deque()
-        self._busy: set[Session] = set()
+        self._idle = threading.Condition(self._mu)
         self._sessions: dict[str, Session] = {}
+        #: Per-session lock: one statement at a time on each session.
+        self._turns: dict[Session, threading.Lock] = {}
+        self._in_flight = 0
         self._next_id = 0
         self._stopping = False
         self._draining = False
         self.stats = {"submitted": 0, "rejected": 0, "shed": 0, "executed": 0,
                       "dedup_hits": 0, "drain_aborts": 0}
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop, name=f"repro-worker-{i}", daemon=True
-            )
-            for i in range(max(1, self.settings.worker_threads))
-        ]
-        for thread in self._workers:
-            thread.start()
+
+    def _refusal(self) -> Exception:
+        """The error for work the manager no longer takes."""
+        if self._draining:
+            return ServerDrainingError("server is draining")
+        return SessionClosedError("server is shutting down")
 
     # -- connections -----------------------------------------------------------
 
     def connect(self, name: str | None = None) -> Session:
         """Admit a new session, or refuse with ServerOverloadedError."""
         with self._mu:
-            if self._draining:
-                raise ServerDrainingError("server is draining")
-            if self._stopping:
-                raise SessionClosedError("server is shutting down")
+            if self._draining or self._stopping:
+                raise self._refusal()
             if len(self._sessions) >= self.settings.max_sessions:
                 REJECTIONS.inc()
                 self.stats["rejected"] += 1
@@ -265,6 +247,7 @@ class SessionManager:
                 settings=self.settings,
             )
             self._sessions[name] = session
+            self._turns[session] = threading.Lock()
             ACTIVE_SESSIONS.set(len(self._sessions))
             return session
 
@@ -272,32 +255,33 @@ class SessionManager:
         """Close a session: abort its transaction, drop its locks."""
         with self._mu:
             self._sessions.pop(session.name, None)
+            self._turns.pop(session, None)
             ACTIVE_SESSIONS.set(len(self._sessions))
         session.close()
 
-    # -- statement admission ---------------------------------------------------
+    # -- statements ------------------------------------------------------------
 
-    def submit(
+    def execute(
         self,
         session: Session,
         sql: str,
         *,
         key: str | None = None,
         statement_timeout: float | None = None,
-    ) -> PendingStatement:
-        """Queue one statement; returns a future. Never blocks.
+    ) -> Any:
+        """Run one statement on the calling thread; return rows or a status.
 
         ``key`` is a client idempotency key: a duplicate of a completed
         key is answered from the dedup cache (exactly-once), a duplicate
-        of an in-flight key joins the original's future. ``statement_timeout``
-        is the client's propagated deadline budget in seconds — it covers
-        queue wait *and* execution, so a statement that expires while
-        queued fails without ever entering the engine.
+        of an in-flight key waits for the original's outcome.
+        ``statement_timeout`` is the client's propagated deadline budget
+        in seconds, counted from admission: it covers the wait for the
+        session's turn *and* execution.
 
         Overload behaviour: read-only statements shed to the standby
-        reader once the queue passes ``shed_threshold``; anything that
-        cannot be shed is rejected with ServerOverloadedError when the
-        queue is full.
+        reader once ``shed_threshold`` statements are in flight; anything
+        that cannot be shed is rejected with ServerOverloadedError once
+        ``max_queue`` are.
         """
         if session.closed:
             raise SessionClosedError(f"session {session.name} is closed")
@@ -305,168 +289,121 @@ class SessionManager:
             None if statement_timeout is None or statement_timeout <= 0
             else time.monotonic() + statement_timeout
         )
-        pending = PendingStatement(session, sql, key=key, deadline=deadline)
-        if key is not None:
-            prior = self.dedup.begin(key, pending)
+        if key is None:
+            return self._run(session, sql, None, deadline)
+        pending = PendingStatement()
+        prior = self.dedup.begin(key, pending)
+        if prior is not None:
+            self.stats["dedup_hits"] += 1
             if isinstance(prior, PendingStatement):
-                self.stats["dedup_hits"] += 1
-                return prior
-            if prior is not None:
-                self.stats["dedup_hits"] += 1
-                kind, payload = prior
-                if kind == "ok":
-                    pending._finish(result=payload)
-                else:
-                    pending._finish(error=ReplicationError(
-                        f"statement with idempotency key {key!r} is in doubt: "
-                        f"{payload}"
-                    ))
-                return pending
+                return prior.wait()
+            kind, payload = prior
+            if kind == "ok":
+                return payload
+            raise ReplicationError(
+                f"statement with idempotency key {key!r} is in doubt: {payload}"
+            )
         try:
-            with self._mu:
-                if self._draining:
-                    raise ServerDrainingError("server is draining")
-                if self._stopping:
-                    raise SessionClosedError("server is shutting down")
-                depth = len(self._queue)
-                shed = (
-                    self.shed_reader is not None
-                    and depth >= self.settings.shed_threshold
-                    and key is None
-                    and leading_class(sql) == "read"
-                    and not session.in_transaction
-                    and not session.state.failed
-                )
-                if not shed:
-                    if depth >= self.settings.max_queue:
-                        REJECTIONS.inc()
-                        self.stats["rejected"] += 1
-                        raise ServerOverloadedError(
-                            f"statement queue full ({self.settings.max_queue})"
-                        )
-                    self._queue.append(pending)
-                    self.stats["submitted"] += 1
-                    STATEMENTS.inc()
-                    QUEUE_DEPTH.set(len(self._queue))
-                    self._work.notify()
-        except Exception:
-            # A rejected keyed statement never ran: drop the reservation
-            # so a backed-off retry re-executes instead of joining a
-            # future nobody will ever finish.
-            if key is not None:
-                self.dedup.release(key)
-            raise
-        if shed:
-            self._shed(pending)
-        return pending
-
-    def execute(
-        self,
-        session: Session,
-        sql: str,
-        timeout: float | None = None,
-        *,
-        key: str | None = None,
-        statement_timeout: float | None = None,
-    ) -> Any:
-        """Submit and wait: the synchronous convenience path."""
-        pending = self.submit(
-            session, sql, key=key, statement_timeout=statement_timeout
-        )
-        return pending.wait(timeout)
-
-    def _shed(self, pending: PendingStatement) -> None:
-        """Answer a read from a standby in the submitting thread.
-
-        The text is parsed here, and the parsed statement is what runs if
-        the reader declines it (not the replicated table's shape) and it
-        falls back to normal admission.
-        """
-        assert self.shed_reader is not None
-        try:
-            pending.statement = parse(pending.sql)
-            rows = self.shed_reader(pending.statement)
-        except Exception as exc:
-            pending._finish(error=exc)
-            return
-        if rows is None:
-            # Not sheddable after all: one more chance through the queue.
-            with self._mu:
-                if len(self._queue) >= self.settings.max_queue:
-                    REJECTIONS.inc()
-                    self.stats["rejected"] += 1
-                    pending._finish(
-                        error=ServerOverloadedError(
-                            f"statement queue full ({self.settings.max_queue})"
-                        )
-                    )
-                    return
-                self._queue.append(pending)
-                self.stats["submitted"] += 1
-                STATEMENTS.inc()
-                QUEUE_DEPTH.set(len(self._queue))
-                self._work.notify()
-            return
-        pending.shed = True
-        with self._mu:
-            self.stats["shed"] += 1
-        SHED_READS.inc()
-        STATEMENTS.inc()
-        pending._finish(result=rows)
-
-    # -- workers ---------------------------------------------------------------
-
-    def _take(self) -> PendingStatement | None:
-        """Pop the first queued statement whose session is idle."""
-        with self._work:
-            while True:
-                if self._stopping:
-                    return None
-                for idx, pending in enumerate(self._queue):
-                    if pending.session not in self._busy:
-                        del self._queue[idx]
-                        self._busy.add(pending.session)
-                        QUEUE_DEPTH.set(len(self._queue))
-                        return pending
-                self._work.wait()
-
-    def _worker_loop(self) -> None:
-        while True:
-            pending = self._take()
-            if pending is None:
-                return
-            try:
-                remaining = None
-                if pending.deadline is not None:
-                    remaining = pending.deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise StatementTimeoutError(
-                            "canceling statement: deadline expired while queued"
-                        )
-                statement = pending.statement
-                result = pending.session.execute(
-                    pending.sql if statement is None else statement,
-                    statement_timeout=remaining,
-                )
-            except BaseException as exc:  # noqa: BLE001 - future carries it
-                if pending.key is not None:
-                    if isinstance(exc, ReplicationError):
-                        # The local apply happened but the quorum ack did
-                        # not: the commit is in doubt. Poison the key so a
-                        # retry re-raises instead of double-applying.
-                        self.dedup.finish(pending.key, ("indoubt", str(exc)))
-                    else:
-                        self.dedup.release(pending.key)
-                pending._finish(error=exc)
+            result = self._run(session, sql, key, deadline)
+        except BaseException as exc:
+            if isinstance(exc, ReplicationError):
+                # The local apply happened but the quorum ack did not: the
+                # commit is in doubt. Poison the key so a retry re-raises
+                # instead of double-applying.
+                self.dedup.finish(key, ("indoubt", str(exc)))
             else:
-                if pending.key is not None:
-                    self.dedup.finish(pending.key, ("ok", result))
-                pending._finish(result=result)
+                # It never applied (refused, failed, aborted): a retry
+                # with the same key is safe to re-execute.
+                self.dedup.release(key)
+            pending._finish(error=exc)
+            raise
+        self.dedup.finish(key, ("ok", result))
+        pending._finish(result=result)
+        return result
+
+    def _admit(self, session: Session, sql: str | None) -> threading.Lock | None:
+        """Count one statement in flight and return its session's turn.
+
+        Returns ``None`` instead when ``sql`` (a sheddable read's text)
+        should go to the standby reader. Raises when the manager refuses
+        work or ``max_queue`` statements are already in flight.
+        """
+        with self._mu:
+            if self._draining or self._stopping:
+                raise self._refusal()
+            turn = self._turns.get(session)
+            if turn is None:
+                raise SessionClosedError(f"session {session.name} is closed")
+            if (
+                sql is not None
+                and self.shed_reader is not None
+                and self._in_flight >= self.settings.shed_threshold
+                and leading_class(sql) == "read"
+                and not session.in_transaction
+                and not session.state.failed
+            ):
+                return None
+            if self._in_flight >= self.settings.max_queue:
+                REJECTIONS.inc()
+                self.stats["rejected"] += 1
+                raise ServerOverloadedError(
+                    f"too many statements in flight ({self.settings.max_queue})"
+                )
+            self._in_flight += 1
+            self.stats["submitted"] += 1
+            STATEMENTS.inc()
+            IN_FLIGHT.set(self._in_flight)
+            return turn
+
+    def _run(
+        self, session: Session, sql: str, key: str | None, deadline: float | None
+    ) -> Any:
+        statement: str | Statement = sql
+        turn = self._admit(session, sql if key is None else None)
+        if turn is None:
+            # Answer the read from a standby on this thread. The parsed
+            # statement is what runs if the reader declines it.
+            assert self.shed_reader is not None
+            statement = parse(sql)
+            rows = self.shed_reader(statement)
+            if rows is not None:
+                with self._mu:
+                    self.stats["shed"] += 1
+                SHED_READS.inc()
+                STATEMENTS.inc()
+                return rows
+            turn = self._admit(session, None)
+        ran = False
+        try:
+            held = turn.acquire(
+                timeout=-1 if deadline is None
+                else max(0.0, deadline - time.monotonic())
+            )
+            try:
+                if self._stopping:
+                    raise self._refusal()
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if not held or (remaining is not None and remaining <= 0):
+                    raise StatementTimeoutError(
+                        "canceling statement: deadline expired while "
+                        "waiting for its session"
+                    )
+                ran = True
+                return session.execute(statement, statement_timeout=remaining)
             finally:
-                with self._work:
-                    self._busy.discard(pending.session)
+                if held:
+                    turn.release()
+        finally:
+            with self._mu:
+                self._in_flight -= 1
+                IN_FLIGHT.set(self._in_flight)
+                if ran:
                     self.stats["executed"] += 1
-                    self._work.notify_all()
+                elif self._draining:
+                    self.stats["drain_aborts"] += 1
+                    DRAIN_ABORTS.inc()
+                if not self._in_flight:
+                    self._idle.notify_all()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -474,88 +411,72 @@ class SessionManager:
     def draining(self) -> bool:
         return self._draining
 
+    def _close_sessions(self, cutoff: float) -> int:
+        """Close every session once its running statement ends (waiting
+        no later than ``cutoff``); returns how many open blocks rolled back.
+        """
+        with self._mu:
+            turns = self._turns
+            self._turns = {}
+            self._sessions.clear()
+            ACTIVE_SESSIONS.set(0)
+        rolled_back = 0
+        for session, turn in turns.items():
+            held = turn.acquire(timeout=max(0.0, cutoff - time.monotonic()))
+            try:
+                if session.in_transaction:
+                    rolled_back += 1
+                session.close()
+            finally:
+                if held:
+                    turn.release()
+        return rolled_back
+
     def drain(self, timeout: float | None = None) -> dict[str, int]:
         """Graceful stop: refuse new work, finish in-flight, abort the rest.
 
         Three phases, mirroring PostgreSQL's smart->fast shutdown ladder:
 
-        1. **Refuse.** New connections and submissions fail with the
+        1. **Refuse.** New connections and statements fail with the
            retryable :class:`~repro.errors.ServerDrainingError` — clients
            take it as "go elsewhere", not as a statement failure.
         2. **Grace.** Up to ``timeout`` (default ``SETTINGS.drain_timeout``)
-           seconds for queued and executing statements to complete
-           normally.
-        3. **Abort.** Statements still queued are failed with
-           ``ServerDrainingError`` (their dedup reservations released —
-           they never applied, so a retry elsewhere is safe), sessions
-           are closed (cleanly aborting any open transaction), and the
-           worker pool is joined.
+           seconds for statements in flight to complete normally.
+        3. **Abort.** A statement still waiting for its session's turn
+           fails with ``ServerDrainingError`` when it gets it (its dedup
+           reservation released — it never applied, so a retry elsewhere
+           is safe), and sessions are closed, each after its running
+           statement (waiting at most a second past the grace period),
+           cleanly aborting any open transaction.
 
         Returns ``{"finished": n, "aborted": n}`` for the transcript.
         """
         if timeout is None:
             timeout = self.settings.drain_timeout
-        deadline = time.monotonic() + max(0.0, timeout)
+        cutoff = time.monotonic() + max(0.0, timeout) + 1.0
         executed_before = self.stats["executed"]
-        with self._work:
-            self._draining = True
-        while time.monotonic() < deadline:
-            with self._mu:
-                if not self._queue and not self._busy:
-                    break
-            time.sleep(0.002)
-        aborted = 0
-        with self._work:
-            self._stopping = True
-            queued = list(self._queue)
-            self._queue.clear()
-            QUEUE_DEPTH.set(0)
-            self._work.notify_all()
-        for pending in queued:
-            if pending.key is not None:
-                self.dedup.release(pending.key)
-            pending._finish(error=ServerDrainingError(
-                "statement aborted: server drained before it could run"
-            ))
-            aborted += 1
-            DRAIN_ABORTS.inc()
-        for thread in self._workers:
-            thread.join(timeout=max(0.1, deadline - time.monotonic() + 1.0))
+        aborts_before = self.stats["drain_aborts"]
         with self._mu:
-            sessions = list(self._sessions.values())
-            self._sessions.clear()
-            ACTIVE_SESSIONS.set(0)
-        for session in sessions:
-            if session.in_transaction:
-                aborted += 1
-                DRAIN_ABORTS.inc()
-            session.close()
-        self.stats["drain_aborts"] += aborted
-        return {
-            "finished": self.stats["executed"] - executed_before,
-            "aborted": aborted,
-        }
+            self._draining = True
+            self._idle.wait_for(
+                lambda: not self._in_flight, max(0.0, timeout)
+            )
+            self._stopping = True
+        rolled_back = self._close_sessions(cutoff)
+        DRAIN_ABORTS.inc(rolled_back)
+        with self._mu:
+            self.stats["drain_aborts"] += rolled_back
+            return {
+                "finished": self.stats["executed"] - executed_before,
+                "aborted": self.stats["drain_aborts"] - aborts_before,
+            }
 
     def stop(self) -> None:
-        """Drain nothing: fail queued statements, close sessions, join."""
-        with self._work:
-            self._stopping = True
-            queued = list(self._queue)
-            self._queue.clear()
-            QUEUE_DEPTH.set(0)
-            self._work.notify_all()
-        for pending in queued:
-            if pending.key is not None:
-                self.dedup.release(pending.key)
-            pending._finish(error=SessionClosedError("server stopped"))
-        for thread in self._workers:
-            thread.join(timeout=5.0)
+        """Drain nothing: refuse new work, fail waiting statements, close
+        sessions (each after its running statement, for up to 5 s)."""
         with self._mu:
-            sessions = list(self._sessions.values())
-            self._sessions.clear()
-            ACTIVE_SESSIONS.set(0)
-        for session in sessions:
-            session.close()
+            self._stopping = True
+        self._close_sessions(time.monotonic() + 5.0)
 
     def __enter__(self) -> "SessionManager":
         return self

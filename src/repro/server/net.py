@@ -8,8 +8,8 @@ it, not the protocol:
   is an idempotency key for exactly-once autocommit writes (the server
   dedup cache absorbs re-sends after a lost ack); the optional
   ``timeout`` is the client's remaining deadline budget in seconds,
-  propagated into the server statement deadline so queue wait counts
-  too. ``{"op": "ping"}`` is a health probe answered with
+  propagated into the server statement deadline, which runs from
+  admission. ``{"op": "ping"}`` is a health probe answered with
   ``{"ok": true, "pong": true}``.
 
 - Server replies with exactly one JSON line:
@@ -256,7 +256,9 @@ class SQLServer(socketserver.ThreadingTCPServer):
         3. Drains the session manager: in-flight statements get up to
            ``timeout`` seconds to finish; stragglers are cleanly aborted
            with :class:`~repro.errors.ServerDrainingError`.
-        4. Closes the listener and joins the accept thread.
+        4. Answers connections still in the listen backlog (the accept
+           loop stopped before taking them) with the close frame, then
+           closes the listener and joins the accept thread.
 
         Returns the manager's ``{"finished", "aborted"}`` drain stats.
         """
@@ -276,11 +278,31 @@ class SQLServer(socketserver.ThreadingTCPServer):
                 if not self._conns:
                     break
             time.sleep(0.005)
+        self._refuse_backlog()
         self.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
         return stats
+
+    def _refuse_backlog(self) -> None:
+        """Send the close frame to every connection waiting to be accepted
+        (without this the listener's close would reset them)."""
+        frame = (_encode_error(ServerDrainingError(
+            "server is draining; reconnect elsewhere"), close=True) + "\n").encode()
+        self.socket.setblocking(False)
+        while True:
+            try:
+                conn, _ = self.socket.accept()
+            except OSError:  # BlockingIOError: the backlog is empty
+                return
+            try:
+                conn.settimeout(1.0)
+                conn.sendall(frame)
+                DRAIN_CLOSE_FRAMES.inc()
+            except OSError:
+                pass
+            self.shutdown_request(conn)
 
     def stop(self) -> None:
         """Stop serving and join the accept thread (abrupt, no goodbyes)."""

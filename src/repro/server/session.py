@@ -24,7 +24,8 @@ engine deliberately knows nothing about:
   the rest of the system makes progress.
 
 Sessions are single-threaded by contract: one statement at a time (the
-:class:`~repro.server.manager.SessionManager` enforces this). The engine
+:class:`~repro.server.manager.SessionManager` runs each session's
+statements under a per-session lock, on the caller's thread). The engine
 mutex serializes *physical* engine access across sessions; the lock
 manager provides the *logical* interleaving on top.
 """

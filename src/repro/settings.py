@@ -3,8 +3,8 @@
 Before this module, each layer hard-coded its own constants: the buffer
 pool's transient-fault retry budget, the WAL's group-commit flush
 threshold, the replica set's heartbeat/lag bounds. The server layer (PR 6)
-adds a second family — lock-wait and statement timeouts, worker counts,
-admission-queue bounds — and tests/chaos schedules need to tighten all of
+adds a second family — lock-wait and statement timeouts, session and
+admission bounds — and tests/chaos schedules need to tighten all of
 them deterministically. So: one :class:`Settings` dataclass, one process
 default (:data:`SETTINGS`), and ``REPRO_*`` environment overrides.
 
@@ -46,12 +46,11 @@ class Settings:
     # -- server: sessions and admission control (new in PR 6) -----------------
     #: Concurrent sessions a SessionManager accepts.
     max_sessions: int = 1024
-    #: Worker threads executing statements.
-    worker_threads: int = 8
-    #: Bounded statement queue; submissions beyond it are rejected with
-    #: ServerOverloadedError (backpressure, never unbounded queueing).
+    #: Statements in flight (admitted, not yet finished) beyond which new
+    #: ones are rejected with ServerOverloadedError (backpressure).
     max_queue: int = 64
-    #: Queue depth at which read-only statements shed to standby reads.
+    #: Statements in flight at which read-only statements shed to
+    #: standby reads.
     shed_threshold: int = 32
 
     # -- executor: batch-at-a-time row processing (new in PR 8) ---------------
@@ -120,7 +119,7 @@ class Settings:
     #: Fields that must parse > 0 from the environment; the rest of the
     #: numeric fields must be >= 0 (0 commonly means "disabled").
     _POSITIVE = frozenset({
-        "max_sessions", "worker_threads", "max_queue", "batch_size",
+        "max_sessions", "max_queue", "batch_size",
         "deadline_check_interval", "wal_flush_threshold",
         "replication_heartbeat_timeout", "max_message_bytes",
         "dedup_cache_size", "client_pool_size",

@@ -20,7 +20,7 @@ class Cluster:
     """A restartable server whose successors share the dedup cache."""
 
     def __init__(self) -> None:
-        self.settings = SETTINGS.replace(worker_threads=2, drain_timeout=0.5)
+        self.settings = SETTINGS.replace(drain_timeout=0.5)
         self.db = Database()
         self.db.execute("CREATE TABLE t (key VARCHAR(24), id INT);")
         self.db.execute(

@@ -12,7 +12,6 @@ from repro.engine.sql import Database
 from repro.errors import PoolTimeoutError
 from repro.server.manager import SessionManager
 from repro.server.net import SQLServer
-from repro.settings import SETTINGS
 
 
 @pytest.fixture
@@ -20,7 +19,7 @@ def server():
     db = Database()
     db.execute("CREATE TABLE t (key VARCHAR(20), id INT);")
     db.execute("INSERT INTO t VALUES ('alpha', 1);")
-    manager = SessionManager(db, settings=SETTINGS.replace(worker_threads=2))
+    manager = SessionManager(db)
     with SQLServer(manager) as srv:
         yield srv
     manager.stop()

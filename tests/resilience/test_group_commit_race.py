@@ -106,7 +106,7 @@ class TestConcurrentCommitCrash:
         pool = BufferPool(disk, capacity=64)
         db = Database(buffer=pool)
         settings = SETTINGS.replace(
-            worker_threads=4, statement_timeout=10.0, lock_timeout=5.0
+            statement_timeout=10.0, lock_timeout=5.0
         )
         manager = SessionManager(db, settings=settings)
         boot = manager.connect("boot")

@@ -14,6 +14,7 @@ from repro.server.bridge import ReplicatedDatabase
 from repro.server.manager import DedupCache, PendingStatement, SessionManager
 from repro.replication.replicaset import ReplicaSet
 from repro.settings import SETTINGS
+from tests.server import Parked
 
 
 def _db() -> Database:
@@ -23,8 +24,8 @@ def _db() -> Database:
     return db
 
 
-def _pending(sql: str = "INSERT INTO t VALUES ('x', 1);") -> PendingStatement:
-    return PendingStatement(session=None, sql=sql)
+def _pending() -> PendingStatement:
+    return PendingStatement()
 
 
 class TestDedupCacheUnit:
@@ -85,7 +86,7 @@ class TestDedupCacheUnit:
 
 class TestManagerExactlyOnce:
     def test_keyed_resend_applies_once(self) -> None:
-        with SessionManager(_db(), settings=SETTINGS.replace(worker_threads=2)) as mgr:
+        with SessionManager(_db()) as mgr:
             s = mgr.connect()
             first = mgr.execute(
                 s, "INSERT INTO t VALUES ('once', 2);", key="mk-1")
@@ -96,12 +97,38 @@ class TestManagerExactlyOnce:
             assert len(rows) == 1
             assert mgr.stats["dedup_hits"] == 1
 
+    def test_inflight_resend_joins_the_original(self) -> None:
+        # A resend on another connection while the first attempt still
+        # runs waits for that attempt's outcome instead of racing it.
+        dedup = DedupCache(8)
+        joined = threading.Event()
+        begin = dedup.begin
+
+        def signalling_begin(key, pending):
+            prior = begin(key, pending)
+            if isinstance(prior, PendingStatement):
+                joined.set()
+            return prior
+
+        dedup.begin = signalling_begin
+        with SessionManager(_db(), dedup=dedup) as mgr:
+            a, b = mgr.connect(), mgr.connect()
+            sql = "INSERT INTO t VALUES ('joined', 6);"
+            with mgr.engine_mutex:
+                first = Parked(mgr, a, sql, key="join-key")
+                assert first.entered.wait(5)
+                resend = Parked(mgr, b, sql, key="join-key")
+                assert joined.wait(5)
+            assert first.join() == resend.join() == "INSERT 0 1"
+            assert len(mgr.execute(a, "SELECT * FROM t WHERE key = 'joined';")) == 1
+            assert mgr.stats["dedup_hits"] == 1
+
     def test_poisoned_key_reraises_instead_of_reexecuting(self) -> None:
         dedup = DedupCache(8)
         dedup.begin("poisoned", _pending())
         dedup.finish("poisoned", ("indoubt", "quorum unreachable"))
         with SessionManager(
-            _db(), settings=SETTINGS.replace(worker_threads=2), dedup=dedup
+            _db(), dedup=dedup
         ) as mgr:
             s = mgr.connect()
             with pytest.raises(ReplicationError):
@@ -113,7 +140,7 @@ class TestManagerExactlyOnce:
     def test_failed_keyed_statement_releases_the_key(self) -> None:
         dedup = DedupCache(8)
         with SessionManager(
-            _db(), settings=SETTINGS.replace(worker_threads=2), dedup=dedup
+            _db(), dedup=dedup
         ) as mgr:
             s = mgr.connect()
             with pytest.raises(ReproError):
@@ -129,7 +156,7 @@ class TestManagerExactlyOnce:
             raise AssertionError("keyed statement was shed")
 
         settings = SETTINGS.replace(
-            max_queue=64, worker_threads=2, shed_threshold=0)
+            max_queue=64, shed_threshold=0)
         with SessionManager(
             _db(), settings=settings, shed_reader=reader
         ) as mgr:
@@ -147,7 +174,7 @@ class TestShedUnderFailover:
 
     def test_standby_reads_survive_primary_crash(self, tmp_path) -> None:
         settings = SETTINGS.replace(
-            worker_threads=2, max_queue=64, shed_threshold=0,
+            max_queue=64, shed_threshold=0,
             statement_timeout=10.0)
         rs = ReplicaSet(
             str(tmp_path), kind="trie", replicas=2, quorum=1, fsync=False)
@@ -214,23 +241,21 @@ class TestBackpressureRecovery:
     def test_rejected_keyed_write_is_retryable(self) -> None:
         # An admission rejection must release the dedup reservation so
         # the client's retry (same key) is not treated as a duplicate.
-        settings = SETTINGS.replace(
-            max_queue=1, worker_threads=1, shed_threshold=1000)
+        settings = SETTINGS.replace(max_queue=1, shed_threshold=1000)
         dedup = DedupCache(8)
         with SessionManager(_db(), settings=settings, dedup=dedup) as mgr:
             a, b = mgr.connect(), mgr.connect()
-            import time
-
             with mgr.engine_mutex:
-                first = mgr.submit(a, "SELECT * FROM t;")
-                time.sleep(0.1)  # worker picks it up, blocks on the mutex
-                held = mgr.submit(b, "SELECT * FROM t;")
+                first = Parked(mgr, a, "SELECT * FROM t;")
+                assert first.entered.wait(5)
                 with pytest.raises(ServerOverloadedError):
-                    mgr.submit(
+                    mgr.execute(
                         b, "INSERT INTO t VALUES ('bp', 5);", key="bp-key")
                 assert dedup.lookup("bp-key") is None
-            first.wait(timeout=10)
-            held.wait(timeout=10)
+                # Neither recorded nor reserved: a fresh begin reserves it.
+                assert dedup.begin("bp-key", _pending()) is None
+                dedup.release("bp-key")
+            first.join()
             # The retry with the same key succeeds once load drops.
             assert mgr.execute(
                 b, "INSERT INTO t VALUES ('bp', 5);", key="bp-key"

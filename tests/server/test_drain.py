@@ -10,9 +10,10 @@ import pytest
 
 from repro.engine.sql import Database
 from repro.errors import ServerDrainingError
-from repro.server.manager import DedupCache, SessionManager
+from repro.server.manager import DedupCache, PendingStatement, SessionManager
 from repro.server.net import SQLClient, SQLServer
 from repro.settings import SETTINGS
+from tests.server import Parked
 
 
 def make_stack(**settings_overrides):
@@ -20,7 +21,7 @@ def make_stack(**settings_overrides):
     db.execute("CREATE TABLE t (key VARCHAR(20), id INT);")
     db.execute("INSERT INTO t VALUES ('alpha', 1);")
     settings = SETTINGS.replace(
-        worker_threads=2, drain_timeout=0.5, **settings_overrides)
+        drain_timeout=0.5, **settings_overrides)
     dedup = DedupCache(64)
     manager = SessionManager(db, settings=settings, dedup=dedup)
     server = SQLServer(manager).start()
@@ -68,13 +69,39 @@ class TestManagerDrain:
         # reservation must be released so a retry elsewhere can run.
         db, manager, server, dedup = make_stack()
         try:
+            idle = manager.connect("idle")  # connected first, closed first
             session = manager.connect("keyed")
-            pending = manager.submit(
-                session, "INSERT INTO t VALUES ('k', 4);", key="drain-key")
-            pending.wait(timeout=5)
-            server.drain(timeout=0.2)
-            # Completed key stays recorded; an *unrun* key would be gone.
-            assert dedup.lookup("drain-key") is not None
+            manager.execute(
+                session, "INSERT INTO t VALUES ('k', 4);", key="done-key")
+            closing = threading.Event()
+            close = idle.close
+
+            def signalling_close() -> None:
+                closing.set()
+                close()
+
+            idle.close = signalling_close
+            with manager.engine_mutex:
+                running = Parked(manager, session, "SELECT * FROM t;")
+                assert running.entered.wait(5)
+                waiting = Parked(
+                    manager, session, "INSERT INTO t VALUES ('q', 6);",
+                    key="drain-key")
+                drainer = threading.Thread(target=server.drain, args=(0.2,))
+                drainer.start()
+                # The grace period is over and drain is closing sessions;
+                # closing needs the engine mutex, so let go of it.
+                assert closing.wait(5)
+            drainer.join(timeout=10)
+            assert not drainer.is_alive()
+            assert len(running.join()) == 2
+            with pytest.raises(ServerDrainingError):
+                waiting.join()
+            # The completed key stays recorded; the unrun one is released.
+            assert dedup.lookup("done-key") is not None
+            assert dedup.lookup("drain-key") is None
+            assert dedup.begin("drain-key", PendingStatement()) is None
+            assert db.execute("SELECT * FROM t WHERE key = 'q';") == []
         finally:
             manager.stop()
 
@@ -85,7 +112,10 @@ class TestWireDrain:
         try:
             peer = socket.create_connection(server.address, timeout=5.0)
             reader = peer.makefile("rb")
-            # Let the handler reach its blocking readline before draining.
+            # A ping round trip puts the handler in its blocking readline:
+            # the connection is registered and idle when the drain starts.
+            peer.sendall(b'{"op": "ping"}\n')
+            assert json.loads(reader.readline().decode())["pong"] is True
             done = threading.Event()
 
             def drain() -> None:
@@ -101,6 +131,24 @@ class TestWireDrain:
             assert reader.readline() == b""  # orderly close after goodbye
             thread.join(timeout=5)
             assert done.is_set()
+            peer.close()
+        finally:
+            manager.stop()
+
+    def test_backlogged_connection_gets_close_frame(self) -> None:
+        # A connection the accept loop never took (it stopped first) sits
+        # in the listen backlog; drain must still answer it with the
+        # goodbye frame rather than let the kernel reset it.
+        db, manager, server, _ = make_stack()
+        try:
+            server.shutdown()
+            peer = socket.create_connection(server.address, timeout=5.0)
+            reader = peer.makefile("rb")
+            server.drain(timeout=0.1)
+            frame = json.loads(reader.readline().decode())
+            assert frame["error"] == "ServerDrainingError"
+            assert frame.get("close") is True
+            assert reader.readline() == b""
             peer.close()
         finally:
             manager.stop()
@@ -149,7 +197,7 @@ class TestWireDrain:
             manager.stop()
             # Successor shares the dedup cache: the resend dedups.
             manager = SessionManager(
-                db, settings=SETTINGS.replace(worker_threads=2), dedup=dedup)
+                db, dedup=dedup)
             server = SQLServer(manager).start()
             host, port = server.address
             with SQLClient(host, port) as client:

@@ -1,9 +1,11 @@
-"""SessionManager tests: admission control, shedding, ordering, lifecycle."""
+"""SessionManager tests: admission control, shedding, ordering, lock waits,
+lifecycle."""
 
 from __future__ import annotations
 
 import random
 import threading
+import time
 
 import pytest
 
@@ -12,9 +14,11 @@ from repro.errors import (
     ServerOverloadedError,
     SessionClosedError,
     SQLError,
+    StatementTimeoutError,
 )
 from repro.server.manager import SessionManager
 from repro.settings import SETTINGS
+from tests.server import Parked
 
 
 def _db() -> Database:
@@ -50,17 +54,37 @@ class TestBasics:
                 mgr.connect("dup")
 
     def test_per_session_statement_order(self):
-        """A session's statements run strictly in submission order."""
+        """Two threads on one session never overlap: the second waits for
+        the first to finish and then sees its insert."""
         with SessionManager(_db()) as mgr:
             s = mgr.connect()
-            pendings = [
-                mgr.submit(s, f"INSERT INTO t VALUES ('o{i:02d}', {100 + i});")
-                for i in range(20)
-            ]
-            pendings.append(mgr.submit(s, "SELECT * FROM t WHERE key >= 'o';"))
-            rows = pendings[-1].wait(timeout=30)
-            # The final SELECT must observe every preceding INSERT.
-            assert len(rows) == 20
+            with mgr.engine_mutex:
+                first = Parked(mgr, s, "INSERT INTO t VALUES ('o1', 101);")
+                assert first.entered.wait(5)
+                second = Parked(mgr, s, "SELECT * FROM t WHERE key >= 'o';")
+                # A bounded negative check, not a synchronisation: while
+                # `first` holds the session, `second` must not enter it.
+                assert not second.entered.wait(0.2)
+            assert first.join() == "INSERT 0 1"
+            assert second.join() == [("o1", 101)]
+
+    def test_deadline_counts_the_wait_for_the_session(self):
+        """The statement deadline runs from admission: a statement still
+        waiting for its session when it expires fails and never runs."""
+        with SessionManager(_db()) as mgr:
+            s = mgr.connect()
+            with mgr.engine_mutex:
+                first = Parked(mgr, s, "SELECT * FROM t;")
+                assert first.entered.wait(5)
+                late = Parked(
+                    mgr, s, "INSERT INTO t VALUES ('late', 9);",
+                    statement_timeout=0.1,
+                )
+                with pytest.raises(StatementTimeoutError):
+                    late.join()
+                assert not late.entered.is_set()
+            first.join()
+            assert mgr.execute(s, "SELECT * FROM t WHERE key = 'late';") == []
 
     def test_sixteen_sessions_mixed_load_without_errors(self):
         """16 closed-loop sessions x 12 statements: indexed reads, inserts
@@ -102,7 +126,7 @@ class TestBasics:
 
 class TestAdmissionControl:
     def test_session_table_bounded(self):
-        settings = SETTINGS.replace(max_sessions=3, worker_threads=2)
+        settings = SETTINGS.replace(max_sessions=3)
         with SessionManager(_db(), settings=settings) as mgr:
             for _ in range(3):
                 mgr.connect()
@@ -110,7 +134,7 @@ class TestAdmissionControl:
                 mgr.connect()
 
     def test_disconnect_frees_a_slot(self):
-        settings = SETTINGS.replace(max_sessions=1, worker_threads=1)
+        settings = SETTINGS.replace(max_sessions=1)
         with SessionManager(_db(), settings=settings) as mgr:
             s = mgr.connect()
             with pytest.raises(ServerOverloadedError):
@@ -119,52 +143,74 @@ class TestAdmissionControl:
             mgr.connect()  # slot is free again
 
     def test_full_queue_rejects_with_backpressure(self):
-        settings = SETTINGS.replace(
-            max_queue=2, worker_threads=1, shed_threshold=1000
-        )
-        db = _db()
-        gate = threading.Lock()
-        with SessionManager(db, settings=settings) as mgr:
-            blocker = mgr.connect("blocker")
-            others = [mgr.connect() for _ in range(4)]
-            with gate:
-                # Park the single worker on a statement that waits on `gate`
-                # via the engine mutex.
-                with mgr.engine_mutex:
-                    first = mgr.submit(blocker, "SELECT * FROM t;")
-                    import time
-
-                    time.sleep(0.1)  # worker picks it up, blocks on mutex
-                    # Fill the queue to max_queue.
-                    queued = [
-                        mgr.submit(others[i], "SELECT * FROM t;")
-                        for i in range(2)
-                    ]
-                    with pytest.raises(ServerOverloadedError):
-                        mgr.submit(others[2], "SELECT * FROM t;")
-                    assert mgr.stats["rejected"] == 1
-            first.wait(timeout=10)
-            for pending in queued:
-                pending.wait(timeout=10)
+        """``max_queue`` bounds the statements in flight."""
+        settings = SETTINGS.replace(max_queue=2, shed_threshold=1000)
+        with SessionManager(_db(), settings=settings) as mgr:
+            sessions = [mgr.connect() for _ in range(3)]
+            with mgr.engine_mutex:
+                parked = [Parked(mgr, s, "SELECT * FROM t;") for s in sessions[:2]]
+                for statement in parked:
+                    assert statement.entered.wait(5)
+                with pytest.raises(ServerOverloadedError):
+                    mgr.execute(sessions[2], "SELECT * FROM t;")
+                assert mgr.stats["rejected"] == 1
+            for statement in parked:
+                assert len(statement.join()) == 2
 
     def test_rejected_submission_does_not_poison_session(self):
-        settings = SETTINGS.replace(
-            max_queue=1, worker_threads=1, shed_threshold=1000
-        )
+        settings = SETTINGS.replace(max_queue=1, shed_threshold=1000)
         with SessionManager(_db(), settings=settings) as mgr:
             a, b = mgr.connect(), mgr.connect()
             with mgr.engine_mutex:
-                first = mgr.submit(a, "SELECT * FROM t;")
-                import time
-
-                time.sleep(0.1)
-                held = mgr.submit(b, "SELECT * FROM t;")
+                first = Parked(mgr, a, "SELECT * FROM t;")
+                assert first.entered.wait(5)
                 with pytest.raises(ServerOverloadedError):
-                    mgr.submit(b, "SELECT * FROM t;")
-            first.wait(timeout=10)
-            held.wait(timeout=10)
+                    mgr.execute(b, "SELECT * FROM t;")
+            first.join()
             # The rejected client retries and succeeds once load drops.
             assert mgr.execute(b, "SELECT * FROM t WHERE id = 1;") == [("alpha", 1)]
+
+
+class TestLockWaits:
+    def test_row_lock_waiters_do_not_starve_the_holders_commit(self):
+        """More writers wait on one row than the old worker pool had
+        threads (8). Each waits on its own thread, so the holder's COMMIT
+        runs at once and every waiter then succeeds."""
+        waiters = 9
+        settings = SETTINGS.replace(lock_timeout=10.0, statement_timeout=60.0)
+        with SessionManager(_db(), settings=settings) as mgr:
+            holder = mgr.connect("holder")
+            mgr.execute(holder, "BEGIN;")
+            mgr.execute(holder, "UPDATE t SET id = 100 WHERE key = 'alpha';")
+
+            blocked: set[str] = set()
+            all_blocked = threading.Event()
+            acquire = mgr.locks.acquire
+
+            def counting_acquire(owner, key, mode, **kwargs):
+                if key[0] == "row":
+                    blocked.add(owner.name)
+                    if len(blocked) == waiters:
+                        all_blocked.set()
+                return acquire(owner, key, mode, **kwargs)
+
+            mgr.locks.acquire = counting_acquire
+            writers = [
+                Parked(
+                    mgr, mgr.connect(f"w{i}"),
+                    f"UPDATE t SET id = {200 + i} WHERE key = 'alpha';",
+                )
+                for i in range(waiters)
+            ]
+            # Well inside lock_timeout, so no waiter gives up first.
+            assert all_blocked.wait(settings.lock_timeout / 2)
+            start = time.monotonic()
+            assert mgr.execute(holder, "COMMIT;") == "COMMIT"
+            assert time.monotonic() - start < settings.lock_timeout / 2
+            for writer in writers:
+                assert writer.join(30) == "UPDATE 1"
+            rows = mgr.execute(holder, "SELECT * FROM t WHERE key = 'alpha';")
+            assert len(rows) == 1 and rows[0][1] >= 200
 
 
 class TestShedding:
@@ -176,7 +222,7 @@ class TestShedding:
             return [("standby", 0)]
 
         settings = SETTINGS.replace(
-            max_queue=64, worker_threads=1, shed_threshold=0
+            max_queue=64, shed_threshold=0
         )
         with SessionManager(_db(), settings=settings, shed_reader=reader) as mgr:
             s = mgr.connect()
@@ -190,7 +236,7 @@ class TestShedding:
             raise AssertionError("write was shed")
 
         settings = SETTINGS.replace(
-            max_queue=64, worker_threads=2, shed_threshold=0
+            max_queue=64, shed_threshold=0
         )
         with SessionManager(_db(), settings=settings, shed_reader=reader) as mgr:
             s = mgr.connect()
@@ -204,7 +250,7 @@ class TestShedding:
 
     def test_declined_shed_falls_back_to_queue(self):
         settings = SETTINGS.replace(
-            max_queue=64, worker_threads=2, shed_threshold=0
+            max_queue=64, shed_threshold=0
         )
         with SessionManager(
             _db(), settings=settings, shed_reader=lambda sql: None
@@ -217,28 +263,38 @@ class TestShedding:
 
 class TestLifecycle:
     def test_stop_fails_queued_statements(self):
-        settings = SETTINGS.replace(max_queue=64, worker_threads=1)
-        db = _db()
-        mgr = SessionManager(db, settings=settings)
-        s = mgr.connect()
-        with mgr.engine_mutex:
-            first = mgr.submit(s, "SELECT * FROM t;")
-            import time
+        """A statement waiting for a session that stop() closes fails with
+        SessionClosedError; the one already running completes."""
+        mgr = SessionManager(_db())
+        idle = mgr.connect("idle")  # connected first, so closed first
+        s = mgr.connect("busy")
+        closing = threading.Event()
+        close = idle.close
 
-            time.sleep(0.1)
-            second = mgr.submit(s, "SELECT * FROM t;")
+        def signalling_close():
+            closing.set()
+            close()
+
+        idle.close = signalling_close
+        with mgr.engine_mutex:
+            first = Parked(mgr, s, "SELECT * FROM t;")
+            assert first.entered.wait(5)
+            second = Parked(mgr, s, "INSERT INTO t VALUES ('never', 9);")
             stopper = threading.Thread(target=mgr.stop)
             stopper.start()
-            time.sleep(0.1)
+            # stop() has refused new work and is closing sessions; closing
+            # needs the engine mutex, so let go of it.
+            assert closing.wait(5)
         stopper.join(timeout=10)
+        assert not stopper.is_alive()
+        assert len(first.join()) == 2
         with pytest.raises(SessionClosedError):
-            second.wait(timeout=5)
-        # `first` was already running; it completes or fails, never hangs.
-        assert first.done() or first.wait(timeout=5) is not None
+            second.join()
+        assert mgr.db.execute("SELECT * FROM t WHERE key = 'never';") == []
 
-    def test_submit_after_stop_refused(self):
+    def test_execute_after_stop_refused(self):
         mgr = SessionManager(_db())
         s = mgr.connect()
         mgr.stop()
         with pytest.raises(SessionClosedError):
-            mgr.submit(s, "SELECT * FROM t;")
+            mgr.execute(s, "SELECT * FROM t;")

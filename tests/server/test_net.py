@@ -21,7 +21,7 @@ def server():
     db.execute("CREATE INDEX t_idx ON t USING SP_GiST (key SP_GiST_trie);")
     db.execute("INSERT INTO t VALUES ('alpha', 1), ('beta', 2);")
     settings = SETTINGS.replace(
-        worker_threads=4, lock_timeout=0.5, statement_timeout=5.0
+        lock_timeout=0.5, statement_timeout=5.0
     )
     manager = SessionManager(db, settings=settings)
     with SQLServer(manager) as srv:

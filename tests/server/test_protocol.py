@@ -27,7 +27,7 @@ def stack():
     db = Database()
     db.execute("CREATE TABLE t (key VARCHAR(20), id INT);")
     db.execute("INSERT INTO t VALUES ('alpha', 1);")
-    settings = SETTINGS.replace(worker_threads=2, max_message_bytes=LIMIT)
+    settings = SETTINGS.replace(max_message_bytes=LIMIT)
     manager = SessionManager(db, settings=settings)
     with SQLServer(manager) as srv:
         yield srv, db

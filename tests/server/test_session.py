@@ -140,6 +140,20 @@ class TestAbortedBlockTaxonomy:
         # Usable again afterwards.
         assert session.execute("SELECT * FROM t WHERE id = 1;") != []
 
+    def test_unparsable_statement_in_block_aborts_it(self, stack):
+        """Text the parser rejects still aborts the open block: the engine
+        sees it, raises, and the block's own insert is rolled back."""
+        db, _, make = stack
+        session = make("s1")
+        session.execute("BEGIN;")
+        session.execute("INSERT INTO t VALUES ('doomed', 7);")
+        with pytest.raises(SQLError):
+            session.execute("SELEC * FROM t;")
+        with pytest.raises(TxnAbortedError, match="current transaction is aborted"):
+            session.execute("SELECT * FROM t;")
+        assert session.execute("COMMIT;") == "ROLLBACK"
+        assert db.execute("SELECT * FROM t WHERE key = 'doomed';") == []
+
     def test_write_conflict_is_first_updater_wins(self, stack):
         """Two blocks updating the same row: waiter gets TxnError on retry."""
         _, _, make = stack

@@ -14,12 +14,12 @@ class TestOverrides:
 
     def test_int_and_float_fields_parse(self) -> None:
         settings = Settings.from_env({
-            "REPRO_WORKER_THREADS": "2",
+            "REPRO_MAX_SESSIONS": "2",
             "REPRO_LOCK_TIMEOUT": "0.25",
             "REPRO_MAX_MESSAGE_BYTES": "65536",
             "REPRO_CLIENT_BACKOFF_BASE": "0.001",
         })
-        assert settings.worker_threads == 2
+        assert settings.max_sessions == 2
         assert settings.lock_timeout == 0.25
         assert settings.max_message_bytes == 65536
         assert settings.client_backoff_base == 0.001
@@ -35,8 +35,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         ("var", "raw"),
         [
-            ("REPRO_WORKER_THREADS", "four"),       # not an integer
-            ("REPRO_WORKER_THREADS", "2.5"),        # int field, float value
+            ("REPRO_WAL_FLUSH_THRESHOLD", "four"),  # not an integer
+            ("REPRO_WAL_FLUSH_THRESHOLD", "2.5"),   # int field, float value
             ("REPRO_LOCK_TIMEOUT", "fast"),         # not a number
             ("REPRO_MAX_QUEUE", ""),                # empty string
             ("REPRO_DEDUP_CACHE_SIZE", "1e3x"),     # trailing garbage
@@ -53,7 +53,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         ("var", "raw"),
         [
-            ("REPRO_WORKER_THREADS", "0"),          # must be positive
+            ("REPRO_WAL_FLUSH_THRESHOLD", "0"),     # must be positive
             ("REPRO_MAX_QUEUE", "-1"),
             ("REPRO_CLIENT_POOL_SIZE", "0"),
             ("REPRO_MAX_MESSAGE_BYTES", "-4096"),
