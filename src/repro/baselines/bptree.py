@@ -24,8 +24,9 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.baselines import EntryAtATime
 from repro.costmodel import CPU_OPS
-from repro.errors import KeyNotFoundError
+from repro.errors import KeyNotFoundError, PlannerError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import ITEM_OVERHEAD, PAGE_CAPACITY, approx_size
 
@@ -61,7 +62,7 @@ class _InnerNode:
     is_leaf: bool = False
 
 
-class BPlusTree:
+class BPlusTree(EntryAtATime):
     """A disk-based B+-tree over the shared buffer pool.
 
     Keys may be any totally ordered type (strings, numbers, tuples).
@@ -344,6 +345,34 @@ class BPlusTree:
             if glob_matches(pattern, key):
                 yield key, value
 
+    # -- the access-method contract (what ``TableIndex`` calls) ---------------------------
+
+    def scan(self, op: str, operand: Any) -> Iterator[Any]:
+        """Values of the entries whose key satisfies ``key <op> operand``."""
+        if op == "=":
+            yield from self.search(operand)
+        elif op == "#=":
+            for _key, value in self.prefix_scan(operand):
+                yield value
+        elif op == "?=":
+            for _key, value in self.regex_scan(operand):
+                yield value
+        elif op == "*=":
+            for _key, value in self.glob_scan(operand):
+                yield value
+        elif op in ("<", "<="):
+            for key, value in self.scan_all():
+                if key > operand or (key == operand and op == "<"):
+                    break
+                yield value
+        elif op in (">", ">="):
+            for key, value in self.range_scan(operand, _TOP):
+                if key == operand and op == ">":
+                    continue
+                yield value
+        else:
+            raise PlannerError(f"btree index cannot serve {op!r}")
+
     # -- delete / vacuum -----------------------------------------------------------------------
 
     def delete(self, key: Any, value: Any = None) -> int:
@@ -402,6 +431,8 @@ class BPlusTree:
         """Tree height in nodes — equal to height in pages (1 node = 1 page)."""
         return self._height
 
+    page_height = height
+
     def check_invariants(self) -> None:
         """Validate key order within and across leaves (testing aid)."""
         previous = None
@@ -411,3 +442,16 @@ class BPlusTree:
                     f"B+-tree order violated: {key!r} after {previous!r}"
                 )
             previous = key
+
+
+class _Top:
+    """A value greater than every string/number (open upper bound)."""
+
+    def __gt__(self, other: Any) -> bool:  # pragma: no cover - trivial
+        return True
+
+    def __lt__(self, other: Any) -> bool:  # pragma: no cover - trivial
+        return False
+
+
+_TOP = _Top()

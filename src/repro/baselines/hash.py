@@ -17,8 +17,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.baselines import EntryAtATime
 from repro.costmodel import CPU_OPS
-from repro.errors import KeyNotFoundError
+from repro.errors import KeyNotFoundError, PlannerError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import ITEM_OVERHEAD, PAGE_CAPACITY, approx_size
 
@@ -49,7 +50,7 @@ def _entry_bytes(key: Any, value: Any) -> int:
     return approx_size(key) + approx_size(value) + ITEM_OVERHEAD
 
 
-class HashIndex:
+class HashIndex(EntryAtATime):
     """A linear-hashing equality index over the shared buffer pool."""
 
     def __init__(
@@ -169,6 +170,14 @@ class HashIndex:
                 yield from zip(page.keys, page.values)
                 page_id = page.next_page
 
+    # -- the access-method contract (what ``TableIndex`` calls) -----------------------
+
+    def scan(self, op: str, operand: Any) -> Iterator[Any]:
+        """Values stored under ``operand``; equality is the only operator."""
+        if op != "=":
+            raise PlannerError(f"hash index cannot serve {op!r}")
+        yield from self.search(operand)
+
     # -- delete -----------------------------------------------------------------------
 
     def delete(self, key: Any, value: Any = None) -> int:
@@ -213,6 +222,8 @@ class HashIndex:
     def height(self) -> int:
         """Bucket access depth proxy for the cost model (directory + page)."""
         return 1
+
+    page_height = height
 
     def check_invariants(self) -> None:
         """Every key must live in the bucket its hash addresses (test aid)."""

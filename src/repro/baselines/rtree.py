@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.baselines import EntryAtATime
 from repro.costmodel import CPU_OPS
-from repro.errors import KeyNotFoundError
+from repro.errors import KeyNotFoundError, PlannerError
 from repro.geometry.box import Box
 from repro.geometry.point import Point
 from repro.geometry.segment import LineSegment
@@ -56,7 +57,7 @@ class _Node:
         return Box.bounding([entry[0] for entry in self.entries])
 
 
-class RTree:
+class RTree(EntryAtATime):
     """A Guttman R-tree over the shared buffer pool.
 
     ``split`` selects the node-split heuristic: ``"quadratic"`` (Guttman's
@@ -333,6 +334,19 @@ class RTree:
                 results.append((key, value))
         return results
 
+    # -- the access-method contract (what ``TableIndex`` calls) ---------------
+
+    def scan(self, op: str, operand: Any) -> Iterator[Any]:
+        """Values of the entries whose object satisfies ``obj <op> operand``."""
+        if op in ("@", "="):
+            for _key, value in self.search_exact(operand):
+                yield value
+        elif op in ("^", "&&"):
+            for _key, value in self.range_search(operand):
+                yield value
+        else:
+            raise PlannerError(f"rtree index cannot serve {op!r}")
+
     # -- delete -------------------------------------------------------------------------
 
     def delete(self, key: Any, value: Any = None) -> int:
@@ -444,6 +458,8 @@ class RTree:
     @property
     def height(self) -> int:
         return self._height
+
+    page_height = height
 
     def check_invariants(self) -> None:
         """Every inner MBR covers its child's MBR (testing aid)."""

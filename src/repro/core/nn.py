@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.costmodel import CPU_OPS
 from repro.obs import METRICS, span
-from repro.settings import SETTINGS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tree import SPGiSTIndex
@@ -157,24 +156,3 @@ def nearest(
 ) -> list[tuple[float, Any, Any]]:
     """Convenience wrapper: the ``k`` nearest items as a list."""
     return list(itertools.islice(nn_search(index, query), k))
-
-
-def nn_search_batches(
-    index: "SPGiSTIndex", query: Any, batch_size: int | None = None
-) -> Iterator[list[tuple[float, Any, Any]]]:
-    """:func:`nn_search` sliced into non-empty fixed-size batches.
-
-    Batching an incremental best-first stream is free: the priority queue
-    already holds the frontier, so slicing ``batch_size`` results at a
-    time preserves the non-decreasing distance order across batches while
-    letting callers process arrays. ``None`` resolves to
-    ``SETTINGS.batch_size`` at call time.
-    """
-    if batch_size is None:
-        batch_size = SETTINGS.batch_size
-    ranked = nn_search(index, query)
-    while True:
-        batch = list(itertools.islice(ranked, batch_size))
-        if not batch:
-            return
-        yield batch

@@ -88,16 +88,6 @@ class IndexScanCursor:
             out.append(item)
         return out
 
-    def batches(self, batch_size: int | None = None) -> Iterator[list[Any]]:
-        """Drain the remaining scan as non-empty fixed-size batches."""
-        if batch_size is None:
-            batch_size = SETTINGS.batch_size
-        while True:
-            batch = self.fetch(batch_size)
-            if not batch:
-                return
-            yield batch
-
     def __iter__(self) -> Iterator[Any]:
         while True:
             item = self.get_next()

@@ -415,6 +415,16 @@ class SPGiSTIndex:
                 ):
                     stack.append((entry.child, level + delta))
 
+    def scan(self, op: str, operand: Any) -> Iterator[Any]:
+        """Values of the items satisfying ``op operand``, each once: suffix
+        extraction stores one item per suffix, so :meth:`search` can
+        report the same value many times."""
+        seen: set[Any] = set()
+        for _key, value in self.search(Query(op, operand)):
+            if value not in seen:
+                seen.add(value)
+                yield value
+
     def search_list(self, query: Query) -> list[tuple[Any, Any]]:
         """Materialized :meth:`search` (convenience for tests/benchmarks)."""
         return list(self.search(query))
@@ -533,6 +543,12 @@ class SPGiSTIndex:
         count = len(removed_pairs) if self.methods.spanning else raw_removed
         self._item_count -= count
         return count
+
+    def delete_entries(self, entries: list[tuple[Any, Any]]) -> int:
+        """Remove the items carrying the values of ``entries`` in one
+        :meth:`bulk_delete` walk; returns how many were removed."""
+        values = {value for _key, value in entries}
+        return self.bulk_delete(lambda _key, value: value in values)
 
     def vacuum(self) -> None:
         """Post-delete cleanup: repack pages (``amvacuumcleanup`` analogue)."""
@@ -819,6 +835,15 @@ class SPGiSTIndex:
     def num_pages(self) -> int:
         """Pages allocated to index nodes (the paper's "index size")."""
         return self.store.num_pages
+
+    @property
+    def page_height(self) -> int:
+        """The most pages a root-to-leaf descent touches (walks the tree)."""
+        return self.statistics().max_page_height
+
+    @property
+    def supports_nn(self) -> bool:
+        return self.methods.supports_nn
 
     def statistics(self) -> TreeStatistics:
         """Full structural statistics (heights, node counts, fill factor)."""

@@ -2,14 +2,20 @@
 
 Table 2 of the paper shows the single INSERT into ``pg_am`` that introduces
 SP-GiST to PostgreSQL; :func:`default_catalog` performs the equivalent
-registrations at runtime. Nothing outside this module hard-codes the set of
-access methods — adding one is a catalog insert, which is the paper's
-portability claim in executable form.
+registrations at runtime. Each ``pg_am`` row is registered with the
+structure that backs its indexes, and :meth:`SystemCatalog.index_structure`
+is the one place an access-method name is resolved to a class; the row's
+``amcostestimate`` name is resolved by
+:func:`repro.engine.cost.cost_estimator`. So adding an access method is
+catalog inserts only, which is the paper's portability claim in executable
+form: ``tests/engine/test_access_methods.py`` registers a fifth one and
+runs it through SQL.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.errors import CatalogError
 from repro.engine.operators import Operator, builtin_operators
@@ -73,17 +79,31 @@ class SystemCatalog:
 
     def __init__(self) -> None:
         self.access_methods: dict[str, AccessMethodEntry] = {}
+        #: amname -> ``structure(buffer, opclass, name, **opclass_kwargs)``,
+        #: the class behind an index of that access method.
+        self.structures: dict[str, Callable[..., Any]] = {}
         self.operators: dict[tuple[str, str, str], Operator] = {}
         self.opclasses: dict[str, OperatorClass] = {}
 
     # -- registration (the extension surface) ------------------------------------
 
-    def register_access_method(self, entry: AccessMethodEntry) -> None:
-        """Insert a pg_am row (the paper's Table 2 INSERT)."""
+    def register_access_method(
+        self,
+        entry: AccessMethodEntry,
+        structure: Callable[..., Any] | None = None,
+    ) -> None:
+        """Insert a pg_am row (the paper's Table 2 INSERT).
+
+        ``structure(buffer, opclass, name, **opclass_kwargs)`` builds the
+        index an access method's opclasses create; without one (``heap``)
+        the access method cannot back an index.
+        """
         key = entry.amname.lower()
         if key in self.access_methods:
             raise CatalogError(f"access method {entry.amname!r} already exists")
         self.access_methods[key] = entry
+        if structure is not None:
+            self.structures[key] = structure
 
     def register_operator(self, operator: Operator) -> None:
         """Insert a pg_operator row (CREATE OPERATOR)."""
@@ -112,6 +132,17 @@ class SystemCatalog:
             return self.access_methods[name.lower()]
         except KeyError:
             raise CatalogError(f"unknown access method {name!r}") from None
+
+    def index_structure(
+        self, opclass: OperatorClass, buffer: Any, name: str, **kwargs: Any
+    ) -> Any:
+        """A new, empty structure for an index of ``opclass`` named ``name``."""
+        factory = self.structures.get(opclass.access_method.lower())
+        if factory is None:
+            raise CatalogError(
+                f"access method {opclass.access_method!r} cannot back an index"
+            )
+        return factory(buffer, opclass, name, **kwargs)
 
     def operator(self, name: str, left_type: str, right_type: str) -> Operator:
         """Look up an operator by name and operand types."""
@@ -151,6 +182,11 @@ class SystemCatalog:
         )
 
 
+def _baseline(cls: type) -> Callable[..., Any]:
+    """The structure factory of a baseline access method."""
+    return lambda buffer, _opclass, name, **_kw: cls(buffer, name=name)
+
+
 def default_catalog() -> SystemCatalog:
     """A catalog primed with the paper's access methods and opclasses.
 
@@ -159,6 +195,10 @@ def default_catalog() -> SystemCatalog:
     kd-tree, suffix tree) extended with the point quadtree and PMR quadtree
     used in Section 6.
     """
+    from repro.baselines.bptree import BPlusTree
+    from repro.baselines.hash import HashIndex
+    from repro.baselines.rtree import RTree
+    from repro.core.tree import SPGiSTIndex
     from repro.geometry.box import Box
     from repro.indexes.kdtree import KDTreeMethods
     from repro.indexes.pmr import PMRQuadtreeMethods
@@ -178,7 +218,8 @@ def default_catalog() -> SystemCatalog:
             aminsert="btinsert",
             ambuild="btbuild",
             amcostestimate="btcostestimate",
-        )
+        ),
+        structure=_baseline(BPlusTree),
     )
     catalog.register_access_method(
         AccessMethodEntry(
@@ -187,7 +228,8 @@ def default_catalog() -> SystemCatalog:
             aminsert="hashinsert",
             ambuild="hashbuild",
             amcostestimate="hashcostestimate",
-        )
+        ),
+        structure=_baseline(HashIndex),
     )
     catalog.register_access_method(
         AccessMethodEntry(
@@ -196,9 +238,15 @@ def default_catalog() -> SystemCatalog:
             aminsert="rtinsert",
             ambuild="rtbuild",
             amcostestimate="rtcostestimate",
-        )
+        ),
+        structure=_baseline(RTree),
     )
-    catalog.register_access_method(spgist_am_entry())
+    catalog.register_access_method(
+        spgist_am_entry(),
+        structure=lambda buffer, opclass, name, **kw: SPGiSTIndex(
+            buffer, opclass.make_methods(**kw), name=name
+        ),
+    )
 
     for operator in builtin_operators():
         catalog.register_operator(operator)

@@ -10,8 +10,10 @@ cost 1.0, random page reads 4.0, per-tuple CPU 0.01.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.engine.selectivity import TableStats, estimate_selectivity
+from repro.errors import CatalogError
 
 #: PostgreSQL's default cost constants (postgresql.conf).
 SEQ_PAGE_COST = 1.0
@@ -49,6 +51,7 @@ def spgist_cost_estimate(
     heap_pages: int,
     restrict: str,
     operand: object = None,
+    op: str | None = None,
 ) -> CostEstimate:
     """The ``spgistcostestimate`` analogue.
 
@@ -59,6 +62,8 @@ def spgist_cost_estimate(
     - startup: descending to the first leaf (page height random reads);
     - total: startup + the visited fraction of index pages + one random heap
       page per fetched tuple + CPU.
+
+    ``op`` does not enter: every operator pays the same descent.
     """
     selectivity = estimate_selectivity(restrict, stats, operand)
     rows = selectivity * stats.row_count
@@ -77,15 +82,18 @@ def btree_cost_estimate(
     heap_pages: int,
     restrict: str,
     operand: object = None,
-    leading_wildcard: bool = False,
+    op: str | None = None,
 ) -> CostEstimate:
     """``btcostestimate`` analogue.
 
     B+-tree leaf order matches key order, so scanned leaf pages are
-    sequential after the descent. A pattern with a leading wildcard cannot
-    constrain the descent: the whole leaf level must be read (the Section 6
-    sensitivity the trie does not share).
+    sequential after the descent. A ``?=`` pattern with a leading wildcard
+    cannot constrain the descent: the whole leaf level must be read (the
+    Section 6 sensitivity the trie does not share).
     """
+    leading_wildcard = (
+        op == "?=" and isinstance(operand, str) and operand.startswith("?")
+    )
     if leading_wildcard:
         selectivity = 1.0
     else:
@@ -99,15 +107,22 @@ def btree_cost_estimate(
                         selectivity, 1.0)
 
 
-def rtree_cost_estimate(
-    index_pages: int,
-    index_height: int,
-    stats: TableStats,
-    heap_pages: int,
-    restrict: str,
-    operand: object = None,
-) -> CostEstimate:
-    """``rtcostestimate`` analogue — same shape as SP-GiST (no order)."""
-    return spgist_cost_estimate(
-        index_pages, index_height, stats, heap_pages, restrict, operand
-    )
+#: ``pg_am.amcostestimate`` names -> estimators, resolved the way
+#: :mod:`repro.engine.selectivity` resolves restriction procedures. R-tree
+#: and hash entries carry no key order either, so they are costed in the
+#: SP-GiST shape.
+_AM_COST_ESTIMATORS: dict[str, Callable[..., CostEstimate]] = {
+    "spgistcostestimate": spgist_cost_estimate,
+    "btcostestimate": btree_cost_estimate,
+    "rtcostestimate": spgist_cost_estimate,
+    "hashcostestimate": spgist_cost_estimate,
+}
+
+
+def cost_estimator(name: str) -> Callable[..., CostEstimate]:
+    """The estimator an ``amcostestimate`` names; each takes ``(index_pages,
+    index_page_height, stats, heap_pages, restrict, operand, op=...)``."""
+    try:
+        return _AM_COST_ESTIMATORS[name]
+    except KeyError:
+        raise CatalogError(f"unknown cost estimator {name!r}") from None

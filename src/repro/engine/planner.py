@@ -2,9 +2,10 @@
 
 Given one predicate ``col <op> literal``, the planner enumerates the
 sequential scan plus every index whose operator class contains the operator,
-costs each path with the estimators in :mod:`repro.engine.cost`, and keeps
-the cheapest — the decision PostgreSQL's optimizer makes from the
-``amcostestimate`` entry the paper registers for SP-GiST.
+costs each path with the estimator its access method's ``amcostestimate``
+names (:mod:`repro.engine.cost`), and keeps the cheapest — the decision
+PostgreSQL's optimizer makes from the ``amcostestimate`` entry the paper
+registers for SP-GiST.
 
 The NN operator ``@@`` (strategy 20) yields an ordered scan: an NN-capable
 index streams TIDs by distance; without one the planner falls back to a
@@ -16,13 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.engine.cost import (
-    CostEstimate,
-    btree_cost_estimate,
-    rtree_cost_estimate,
-    seqscan_cost,
-    spgist_cost_estimate,
-)
+from repro.engine.cost import CostEstimate, seqscan_cost
 from repro.engine.table import Table, TableIndex
 from repro.errors import (
     IndexCorruptionError,
@@ -132,7 +127,8 @@ def plan_query(table: Table, predicate: Predicate | None) -> Plan:
         if not index.supports(predicate.op):
             continue
         try:
-            cost = _index_cost(index, stats, table, operator.restrict, predicate)
+            cost = index.cost(stats, table.heap_pages, operator.restrict,
+                              predicate.op, predicate.operand)
         except (IndexCorruptionError, PageChecksumError) as exc:
             quarantine_index(index, "index-cost-degraded", exc)
             continue
@@ -180,14 +176,8 @@ def _plan_nn(table: Table, predicate: Predicate) -> Plan:
         if index.column.name == predicate.column and index.supports_nn():
             stats = table.stats()
             try:
-                cost = spgist_cost_estimate(
-                    index.num_pages,
-                    index.page_height,
-                    stats,
-                    table.heap_pages,
-                    restrict="contsel",
-                    operand=predicate.operand,
-                )
+                cost = index.cost(stats, table.heap_pages, "contsel",
+                                  predicate.op, predicate.operand)
             except (IndexCorruptionError, PageChecksumError) as exc:
                 quarantine_index(index, "index-cost-degraded", exc)
                 continue
@@ -204,44 +194,3 @@ def _find_operator(table: Table, left_type: str, op_name: str):
             f"no operator {op_name!r} for left type {left_type!r}"
         )
     return matches[0]
-
-
-def _index_cost(
-    index: TableIndex,
-    stats,
-    table: Table,
-    restrict: str,
-    predicate: Predicate,
-) -> CostEstimate:
-    if index.access_method == "btree":
-        leading_wildcard = (
-            predicate.op == "?="
-            and isinstance(predicate.operand, str)
-            and predicate.operand.startswith("?")
-        )
-        return btree_cost_estimate(
-            index.num_pages,
-            index.page_height,
-            stats,
-            table.heap_pages,
-            restrict,
-            predicate.operand,
-            leading_wildcard=leading_wildcard,
-        )
-    if index.access_method == "rtree":
-        return rtree_cost_estimate(
-            index.num_pages,
-            index.page_height,
-            stats,
-            table.heap_pages,
-            restrict,
-            predicate.operand,
-        )
-    return spgist_cost_estimate(
-        index.num_pages,
-        index.page_height,
-        stats,
-        table.heap_pages,
-        restrict,
-        predicate.operand,
-    )

@@ -311,26 +311,26 @@ class Database:
     def _check_index(self, statement: Statement, session: SessionState) -> str:
         """``CHECK INDEX <name>``: run the amcheck-style verifier.
 
-        Finds the index by name across all tables, runs
-        :func:`repro.resilience.check.spgist_check` against its structure,
+        Finds the index by name across all tables, runs its structure's
+        ``check()`` (for SP-GiST, :func:`repro.resilience.check.spgist_check`)
         and returns the one-line report. Problems are *reported*, not
         raised — mirroring ``amcheck``, which leaves acting on a bad index
         to the operator (the executor quarantines on its own when a scan
         actually trips).
         """
-        from repro.resilience.check import spgist_check
+        return self._structure_call(statement, "CHECK INDEX", "check")().describe()
 
-        return spgist_check(self._spgist(statement, "CHECK INDEX")).describe()
-
-    def _spgist(self, statement: Statement, command: str) -> Any:
-        """The SP-GiST structure behind ``statement.index``."""
+    def _structure_call(self, statement: Statement, command: str, name: str) -> Any:
+        """The ``name`` method of the structure behind ``statement.index``;
+        a structure without one cannot serve ``command``."""
         _table, index = self.find_index(statement.index)
-        if index.access_method != "sp_gist":
+        method = getattr(index.structure, name, None)
+        if method is None:
             raise SQLError(
                 f"{command} supports SP-GiST indexes; {statement.index!r} "
                 f"uses {index.access_method!r}"
             )
-        return index.structure
+        return method
 
     def find_index(self, index_name: str) -> tuple[Table, Any]:
         """Locate an index by name across all tables: ``(table, index)``.
@@ -358,7 +358,9 @@ class Database:
         """
         if session.current is not None:
             raise SQLError("REPACK INDEX cannot run inside a transaction block")
-        stats = self._spgist(statement, "REPACK INDEX").repack_online()
+        stats = self._structure_call(
+            statement, "REPACK INDEX", "repack_online"
+        )()
         self._on_txn_commit(None)
         return (
             f"REPACK INDEX {statement.index}: {stats.subtrees_repacked} subtrees, "

@@ -15,14 +15,10 @@ executor resolves back to rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
-from repro.baselines.bptree import BPlusTree
-from repro.baselines.hash import HashIndex
-from repro.baselines.rtree import RTree
-from repro.core.external import Query
-from repro.core.tree import SPGiSTIndex
 from repro.engine.catalog import SystemCatalog
+from repro.engine.cost import CostEstimate, cost_estimator
 from repro.engine.opclass import NN_STRATEGY, OperatorClass
 from repro.engine.selectivity import TableStats
 from repro.engine.txn import (
@@ -62,7 +58,12 @@ class Column:
 
 
 class TableIndex:
-    """One secondary index over one column of a table."""
+    """One secondary index over one column of a table.
+
+    The catalog builds the structure behind it from the access method's
+    ``pg_am`` row; it is called without knowing its class (the contract is
+    listed in DESIGN.md §2, "Adding an access method").
+    """
 
     def __init__(
         self,
@@ -80,25 +81,17 @@ class TableIndex:
         self.opclass = opclass
         self.access_method = opclass.access_method.lower()
         self.key_extractor = opclass.key_extractor
-        self.structure = self._make_structure(table.buffer, **opclass_kwargs)
+        catalog = table.catalog
+        self.structure = catalog.index_structure(
+            opclass, table.buffer, name, **opclass_kwargs
+        )
+        self._cost_estimate = cost_estimator(
+            catalog.access_method(opclass.access_method).amcostestimate
+        )
         #: Set by the executor when a scan hit corruption in this index;
         #: the planner stops choosing quarantined indexes until the flag is
         #: cleared (e.g. after a REINDEX-style rebuild).
         self.quarantined = False
-
-    def _make_structure(self, buffer: BufferPool, **kwargs: Any) -> Any:
-        if self.access_method == "sp_gist":
-            return SPGiSTIndex(buffer, self.opclass.make_methods(**kwargs),
-                               name=self.name)
-        if self.access_method == "btree":
-            return BPlusTree(buffer, name=self.name)
-        if self.access_method == "rtree":
-            return RTree(buffer, name=self.name)
-        if self.access_method == "hash":
-            return HashIndex(buffer, name=self.name)
-        raise CatalogError(
-            f"access method {self.opclass.access_method!r} cannot back an index"
-        )
 
     # -- maintenance ------------------------------------------------------------
 
@@ -107,6 +100,14 @@ class TableIndex:
             return [value]
         return list(self.key_extractor(value))
 
+    def entries(
+        self, pairs: Iterable[tuple[TupleId, tuple]]
+    ) -> Iterator[tuple[Any, TupleId]]:
+        """The ``(key, tid)`` index entries of heap rows, lazily."""
+        for tid, row in pairs:
+            for key in self._keys_of(row[self.column_index]):
+                yield key, tid
+
     def insert_row(self, tid: TupleId, row: tuple) -> None:
         """Index the column value(s) of one new heap row."""
         value = row[self.column_index]
@@ -114,21 +115,8 @@ class TableIndex:
             self.structure.insert(key, tid)
 
     def insert_rows(self, pairs: list[tuple[TupleId, tuple]]) -> None:
-        """Index a batch of new heap rows in one structure call.
-
-        SP-GiST indexes take :meth:`SPGiSTIndex.insert_many` (the batched
-        hot path); other access methods fall back to per-key inserts.
-        """
-        items = []
-        for tid, row in pairs:
-            value = row[self.column_index]
-            for key in self._keys_of(value):
-                items.append((key, tid))
-        if isinstance(self.structure, SPGiSTIndex):
-            self.structure.insert_many(items)
-        else:
-            for key, tid in items:
-                self.structure.insert(key, tid)
+        """Index a batch of new heap rows in one structure call."""
+        self.structure.insert_many(list(self.entries(pairs)))
 
     def purge_node_cache(self) -> None:
         """Drop this index's deserialized-node cache, if it has one."""
@@ -136,31 +124,20 @@ class TableIndex:
         if purge is not None:
             purge()
 
-    def delete_row(self, tid: TupleId, row: tuple) -> None:
-        """Remove one heap row's entries from the index."""
-        value = row[self.column_index]
-        for key in set(self._keys_of(value)):
-            self.structure.delete(key, tid)
-
     def bulk_delete_rows(self, dead: list[tuple[TupleId, tuple]]) -> int:
         """Remove every entry pointing at a dead row (``ambulkdelete``).
 
-        SP-GiST indexes take one full :meth:`SPGiSTIndex.bulk_delete` walk
-        with a TID-set predicate — exactly how PostgreSQL hands the
-        dead-TID list to the access method during VACUUM. Other access
-        methods fall back to per-row deletes. Returns the number of
-        logical entries removed.
+        The structure gets the whole dead list at once, as PostgreSQL
+        hands the dead-TID list to the access method during VACUUM.
+        Returns the number of logical entries removed.
         """
         if not dead:
             return 0
-        if isinstance(self.structure, SPGiSTIndex):
-            tids = {tid for tid, _row in dead}
-            return self.structure.bulk_delete(lambda _key, tid: tid in tids)
-        removed = 0
-        for tid, row in dead:
-            self.delete_row(tid, row)
-            removed += 1
-        return removed
+        return self.structure.delete_entries([
+            (key, tid)
+            for tid, row in dead
+            for key in set(self._keys_of(row[self.column_index]))
+        ])
 
     # -- scans -----------------------------------------------------------------------
 
@@ -170,70 +147,11 @@ class TableIndex:
 
     def supports_nn(self) -> bool:
         """Can this index stream results by distance (operator @@)?"""
-        return (
-            NN_STRATEGY in self.opclass.operators
-            and isinstance(self.structure, SPGiSTIndex)
-            and self.structure.methods.supports_nn
-        )
+        return NN_STRATEGY in self.opclass.operators and self.structure.supports_nn
 
     def scan(self, op_name: str, operand: Any) -> Iterator[TupleId]:
         """TIDs of rows whose indexed value satisfies ``col <op> operand``."""
-        if isinstance(self.structure, SPGiSTIndex):
-            seen: set[TupleId] = set()
-            for _key, tid in self.structure.search(Query(op_name, operand)):
-                if tid not in seen:  # suffix extraction can repeat TIDs
-                    seen.add(tid)
-                    yield tid
-            return
-        if isinstance(self.structure, BPlusTree):
-            yield from self._btree_scan(op_name, operand)
-            return
-        if isinstance(self.structure, RTree):
-            yield from self._rtree_scan(op_name, operand)
-            return
-        if isinstance(self.structure, HashIndex):
-            if op_name != "=":
-                raise PlannerError(f"hash index cannot serve {op_name!r}")
-            yield from self.structure.search(operand)
-            return
-        raise PlannerError(f"index {self.name} cannot serve {op_name!r}")
-
-    def _btree_scan(self, op_name: str, operand: Any) -> Iterator[TupleId]:
-        tree: BPlusTree = self.structure
-        if op_name == "=":
-            yield from tree.search(operand)
-        elif op_name == "#=":
-            for _key, tid in tree.prefix_scan(operand):
-                yield tid
-        elif op_name == "?=":
-            for _key, tid in tree.regex_scan(operand):
-                yield tid
-        elif op_name == "*=":
-            for _key, tid in tree.glob_scan(operand):
-                yield tid
-        elif op_name in ("<", "<="):
-            for key, tid in tree.scan_all():
-                if key > operand or (key == operand and op_name == "<"):
-                    break
-                yield tid
-        elif op_name in (">", ">="):
-            for key, tid in tree.range_scan(operand, _TOP):
-                if key == operand and op_name == ">":
-                    continue
-                yield tid
-        else:
-            raise PlannerError(f"btree index cannot serve {op_name!r}")
-
-    def _rtree_scan(self, op_name: str, operand: Any) -> Iterator[TupleId]:
-        tree: RTree = self.structure
-        if op_name in ("@", "="):
-            for _key, tid in tree.search_exact(operand):
-                yield tid
-        elif op_name in ("^", "&&"):
-            for _key, tid in tree.range_search(operand):
-                yield tid
-        else:
-            raise PlannerError(f"rtree index cannot serve {op_name!r}")
+        return self.structure.scan(op_name, operand)
 
     def nn_scan(self, operand: Any) -> Iterator[TupleId]:
         """TIDs in non-decreasing distance from ``operand`` (operator @@)."""
@@ -245,7 +163,7 @@ class TableIndex:
                 seen.add(tid)
                 yield tid
 
-    # -- costing inputs -------------------------------------------------------------
+    # -- costing ----------------------------------------------------------------------
 
     @property
     def num_pages(self) -> int:
@@ -253,22 +171,15 @@ class TableIndex:
 
     @property
     def page_height(self) -> int:
-        if isinstance(self.structure, SPGiSTIndex):
-            return self.structure.statistics().max_page_height
-        return self.structure.height
+        return self.structure.page_height
 
-
-class _Top:
-    """A value greater than every string/number (open upper bound)."""
-
-    def __gt__(self, other: Any) -> bool:  # pragma: no cover - trivial
-        return True
-
-    def __lt__(self, other: Any) -> bool:  # pragma: no cover - trivial
-        return False
-
-
-_TOP = _Top()
+    def cost(
+        self, stats: TableStats, heap_pages: int, restrict: str, op: str,
+        operand: Any,
+    ) -> CostEstimate:
+        """This index's ``amcostestimate`` for ``col <op> operand``."""
+        return self._cost_estimate(self.num_pages, self.page_height, stats,
+                                   heap_pages, restrict, operand, op=op)
 
 
 @dataclass(frozen=True)
@@ -353,10 +264,7 @@ class Table:
         index = TableIndex(
             index_name, self, column, column_index, opclass, **opclass_kwargs
         )
-        for tid, row in self.heap.scan():
-            index.insert_row(tid, row)
-        if isinstance(index.structure, SPGiSTIndex):
-            index.structure.repack()  # spgistbuild finishes with clustering
+        index.structure.build(index.entries(self.heap.scan()))
         self.indexes[index_name] = index
         return index
 
@@ -405,11 +313,6 @@ class Table:
         for index in self.indexes.values():
             index.insert_rows(pairs)
         return [tid for tid, _row in pairs]
-
-    def purge_caches(self) -> None:
-        """Drop every index's deserialized-node cache (quarantine hook)."""
-        for index in self.indexes.values():
-            index.purge_node_cache()
 
     def mvcc_delete(self, tid: TupleId, txn: Transaction) -> tuple:
         """DELETE under MVCC: stamp ``xmax``; indexes are left alone.

@@ -8,8 +8,8 @@ during a long benchmark costs a fixed amount of memory.
 
 This is deliberately *not* a distributed-tracing client: single process,
 single thread (like :data:`repro.costmodel.CPU_OPS`), no sampling, no
-export protocol. It exists so EXPLAIN ANALYZE and the tests can see *where*
-inside an operation the time went — index descent vs heap fetch vs WAL.
+export protocol. It exists so the tests can see *where* inside an operation
+the time went — index descent vs heap fetch vs WAL.
 """
 
 from __future__ import annotations

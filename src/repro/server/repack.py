@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Iterator
 
-from repro.core.tree import OnlineRepackStats, SPGiSTIndex
+from repro.core.tree import OnlineRepackStats
 from repro.errors import LockTimeoutError, StatementTimeoutError
 from repro.obs import METRICS
 from repro.server.locks import LockManager, LockMode, LockOwner, table_key
@@ -72,17 +72,16 @@ class AutoRepacker:
     # -- candidate selection ---------------------------------------------------
 
     def candidates(self) -> Iterator[tuple[str, str, float]]:
-        """``(table, index, fill)`` for every degraded SP-GiST index,
-        most degraded first. Snapshot under the engine mutex — table DDL
-        mutates the dicts this walks."""
+        """``(table, index, fill)`` for every degraded index whose
+        structure repacks online (SP-GiST's does), most degraded first.
+        Snapshot under the engine mutex — table DDL mutates the dicts
+        this walks."""
         found: list[tuple[str, str, float]] = []
         with self.engine_mutex:
             for table in self.db.tables.values():
                 for name, index in table.indexes.items():
-                    if index.access_method != "sp_gist":
-                        continue
                     structure = index.structure
-                    if not isinstance(structure, SPGiSTIndex):
+                    if not hasattr(structure, "repack_online"):
                         continue
                     fill = structure.store.fill_factor()
                     if fill < self.fill_threshold:

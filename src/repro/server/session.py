@@ -259,6 +259,11 @@ class Session:
                     lock_timeout=lk_timeout,
                     deadline=deadline,
                 )
+                if self.closed:
+                    # Closed (its block aborted) while this waited: the
+                    # retry would run as a fresh autocommit statement.
+                    self.locks.release_all(owner)
+                    raise SessionClosedError(f"session {self.name} is closed")
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -198,11 +198,6 @@ class ReplayCursor:
             # Trailing bytes too short to even hold a header.
             self._mark_torn()
 
-    @property
-    def consumed_bytes(self) -> int:
-        """Bytes of ``raw`` covered by well-formed records so far."""
-        return self.offset
-
 
 def _decode_commit_body(body: bytes) -> tuple[int, ...] | None:
     """The xids of a COMMIT body; () when empty, None when malformed."""
@@ -382,18 +377,6 @@ class WriteAheadLog:
             self._commit_listeners.remove(listener)
         except ValueError:
             pass
-
-    # -- LSN API --------------------------------------------------------------
-
-    @property
-    def next_lsn(self) -> int:
-        """The LSN the next appended record will carry."""
-        return self._next_lsn
-
-    @property
-    def last_lsn(self) -> int:
-        """The LSN of the most recently appended record (0 when none)."""
-        return self._next_lsn - 1
 
     # -- recovery ------------------------------------------------------------
 

@@ -189,6 +189,20 @@ class TestExplainOnly:
         delta = db.buffer.stats.delta(before)
         assert delta.misses == 0
 
+    def test_analyze_in_block_sees_the_blocks_own_writes(self):
+        from repro.engine.sql import SessionState
+
+        db, _ = _word_db(count=200)
+        session = SessionState()
+        db.execute("BEGIN;", session=session)
+        db.execute("INSERT INTO word_data VALUES ('zzblock', 9001);", session)
+        sql = "SELECT * FROM word_data WHERE name = 'zzblock'"
+        rows = db.execute(sql, session)
+        text = db.execute("EXPLAIN ANALYZE " + sql, session)
+        assert len(rows) == 1
+        assert f"actual rows={len(rows)} " in text.splitlines()[0]
+        db.execute("ROLLBACK;", session)
+
 
 class TestFileBackedLayers:
     def test_wal_and_checksums_surface_in_report(self, tmp_path):

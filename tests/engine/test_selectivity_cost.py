@@ -1,11 +1,14 @@
 """Tests for selectivity estimators and cost functions."""
 
+import pytest
+
 from repro.engine.cost import (
     btree_cost_estimate,
-    rtree_cost_estimate,
+    cost_estimator,
     seqscan_cost,
     spgist_cost_estimate,
 )
+from repro.engine.catalog import default_catalog
 from repro.engine.selectivity import (
     DEFAULT_CONT_SEL,
     DEFAULT_EQ_SEL,
@@ -15,6 +18,7 @@ from repro.engine.selectivity import (
     estimate_selectivity,
     likesel,
 )
+from repro.errors import CatalogError
 
 
 class TestSelectivity:
@@ -80,15 +84,15 @@ class TestCosts:
 
     def test_leading_wildcard_forces_full_btree_leaf_read(self):
         narrowed = btree_cost_estimate(
-            500, 3, self.STATS, 2_000, "likesel", "ab???"
+            500, 3, self.STATS, 2_000, "likesel", "ab???", op="?="
         )
         full = btree_cost_estimate(
-            500, 3, self.STATS, 2_000, "likesel", "?b???", leading_wildcard=True
+            500, 3, self.STATS, 2_000, "likesel", "?b???", op="?="
         )
         assert full.total_cost > narrowed.total_cost
 
     def test_rtree_cost_mirrors_spgist_shape(self):
-        r = rtree_cost_estimate(100, 3, self.STATS, 500, "contsel")
+        r = cost_estimator("rtcostestimate")(100, 3, self.STATS, 500, "contsel")
         s = spgist_cost_estimate(100, 3, self.STATS, 500, "contsel")
         assert r.total_cost == s.total_cost
 
@@ -96,3 +100,12 @@ class TestCosts:
         a = seqscan_cost(10, 100)
         b = seqscan_cost(100, 10_000)
         assert a < b
+
+    def test_every_index_access_method_resolves_its_estimator(self):
+        catalog = default_catalog()
+        for amname in catalog.structures:
+            entry = catalog.access_method(amname)
+            assert callable(cost_estimator(entry.amcostestimate)), amname
+        assert cost_estimator("hashcostestimate") is spgist_cost_estimate
+        with pytest.raises(CatalogError):
+            cost_estimator("-")

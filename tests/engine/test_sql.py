@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import Database
+from repro.engine.parse import parse
 from repro.errors import SQLError
 from repro.geometry import LineSegment, Point
 
@@ -256,3 +257,14 @@ class TestLiteralBinding:
         db.execute("CREATE TABLE t (a INT, b FLOAT);")
         db.execute("INSERT INTO t VALUES (7, 2.5);")
         assert db.execute("SELECT * FROM t;") == [(7, 2.5)]
+
+    def test_string_comparison_without_spaces_binds(self, word_db):
+        rows = word_db.execute("SELECT * FROM word_data WHERE name='banana';")
+        assert rows == [("banana", 3)]
+
+    def test_negative_literal_after_equals_binds_as_equality(self, db):
+        db.execute("CREATE TABLE t (id INT);")
+        db.execute("INSERT INTO t VALUES (-10), (10);")
+        column, op, literal = parse("SELECT * FROM t WHERE id=-10").predicate
+        assert (column, op, literal.text) == ("id", "=", "-10")
+        assert db.execute("SELECT * FROM t WHERE id=-10;") == [(-10,)]

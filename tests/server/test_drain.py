@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from repro.engine.sql import Database
-from repro.errors import ServerDrainingError
+from repro.errors import ServerDrainingError, SessionClosedError
 from repro.server.manager import DedupCache, PendingStatement, SessionManager
 from repro.server.net import SQLClient, SQLServer
 from repro.settings import SETTINGS
@@ -102,6 +102,37 @@ class TestManagerDrain:
             assert dedup.lookup("drain-key") is None
             assert dedup.begin("drain-key", PendingStatement()) is None
             assert db.execute("SELECT * FROM t WHERE key = 'q';") == []
+        finally:
+            manager.stop()
+
+    def test_block_closed_during_row_lock_wait_does_not_commit(self) -> None:
+        # X's in-block UPDATE waits on the row Y's block holds. Drain
+        # closes X first (connected first), then Y, which frees the row:
+        # X's statement must not then run again as autocommit.
+        db, manager, server, _ = make_stack(
+            lock_timeout=30.0, statement_timeout=60.0)
+        try:
+            x = manager.connect("x")
+            y = manager.connect("y")
+            manager.execute(y, "BEGIN;")
+            manager.execute(y, "UPDATE t SET key = 'y' WHERE id = 1;")
+            manager.execute(x, "BEGIN;")
+            waiting = threading.Event()
+            acquire = manager.locks.acquire
+
+            def signalling_acquire(owner, key, mode, **kwargs):
+                if key[0] == "row":
+                    waiting.set()
+                return acquire(owner, key, mode, **kwargs)
+
+            manager.locks.acquire = signalling_acquire
+            update = Parked(manager, x, "UPDATE t SET key = 'x' WHERE id = 1;")
+            assert waiting.wait(5)
+            assert manager.drain(timeout=0.0)["aborted"] == 2
+            with pytest.raises(SessionClosedError):
+                update.join()
+            assert db.execute("SELECT * FROM t WHERE id = 1;") == [("alpha", 1)]
+            assert manager.locks.stats()["held"] == 0
         finally:
             manager.stop()
 
