@@ -29,7 +29,6 @@ from typing import Any, Callable, Iterable
 from repro.errors import IndexCorruptionError
 from repro.core.node import Entry, InnerNode, LeafNode, NodeRef
 from repro.storage.buffer import BufferPool
-from repro.storage.nodecache import MISS, NodeCache
 from repro.storage.page import PAGE_CAPACITY
 
 
@@ -52,14 +51,14 @@ class NodeStore:
     grows past its page's remaining space is *relocated* to a different page
     and the caller (which holds the descent path) repairs the parent's child
     pointer — mirroring how a C implementation moves a tuple and updates the
-    downlink.
+    downlink. Nodes live only in their pages' buffer-pool frames; the store
+    keeps no node objects of its own.
     """
 
     def __init__(
         self,
         buffer: BufferPool,
         page_capacity: int = PAGE_CAPACITY,
-        use_node_cache: bool = True,
     ) -> None:
         self.buffer = buffer
         self.page_capacity = page_capacity
@@ -67,44 +66,15 @@ class NodeStore:
         self.num_nodes = 0
         self._open_page_id: int | None = None
         #: Per-page read counters: how often :meth:`read` resolved a node
-        #: on each page (cache hits included). The online repack uses
-        #: these as its hot-subtree signal. Transient by design — not
-        #: persisted in the meta page; after a restart the counters warm
-        #: up again, which only changes repack *ordering*, never results.
+        #: on each page. The online repack uses these as its hot-subtree
+        #: signal. Transient by design — not persisted in the meta page;
+        #: after a restart the counters warm up again, which only changes
+        #: repack *ordering*, never results.
         self.page_reads: dict[int, int] = {}
         #: The partially-filled tail page of the last online repack step,
         #: continued by the next step so stepwise repacking packs as
         #: densely as a one-shot repack. Also transient.
         self._repack_open_page_id: int | None = None
-        # Deserialized-node cache. Coherence: the pool's eviction listener
-        # drops a page's cached nodes the moment the page leaves the pool,
-        # so the cache is always a subset of resident pages (see
-        # repro.storage.nodecache for the full contract).
-        self.cache: NodeCache | None = None
-        self._cache_listener = None
-        if use_node_cache:
-            self.cache = NodeCache()
-            self._cache_listener = buffer.add_eviction_listener(
-                self.cache.drop_page
-            )
-
-    def detach(self) -> None:
-        """Unhook this store's cache from the buffer pool.
-
-        Must be called when a store is retired (its node shut down or
-        rebuilt) so the pool does not keep notifying a dead cache.
-        Safe to call on a cacheless or already-detached store.
-        """
-        if self._cache_listener is not None:
-            self.buffer.remove_eviction_listener(self._cache_listener)
-            self._cache_listener = None
-        if self.cache is not None:
-            self.cache.clear()
-
-    def purge_cache(self) -> None:
-        """Drop every cached node (quarantine / recovery / cold-cache)."""
-        if self.cache is not None:
-            self.cache.clear()
 
     # -- creation / placement --------------------------------------------------
 
@@ -125,8 +95,6 @@ class NodeStore:
             self._open_page_id = page_id
             ref = NodeRef(page_id, 0)
         self.num_nodes += 1
-        if self.cache is not None:
-            self.cache.put(ref.page_id, ref.slot, node)
         return ref
 
     def _try_place(self, page_id: int, node: Any, size: int) -> NodeRef | None:
@@ -150,34 +118,21 @@ class NodeStore:
     # -- access -------------------------------------------------------------------
 
     def read(self, ref: NodeRef) -> Any:
-        """Fetch the node at ``ref`` (one buffer access on a cache miss).
+        """Fetch the node at ``ref``: exactly one buffer-pool fetch.
 
-        A node-cache hit still refreshes the page's LRU recency
-        (:meth:`BufferPool.touch`), so the pool evicts in exactly the
-        order it would without the cache — buffer miss counts, the
-        paper's cost metric, are identical either way.
+        The read also counts the page's heat in :attr:`page_reads` for the
+        online repack. A freed or out-of-range slot raises
+        :class:`IndexCorruptionError`.
         """
+        page_id, slot = ref
         reads = self.page_reads
-        reads[ref.page_id] = reads.get(ref.page_id, 0) + 1
-        cache = self.cache
-        if cache is not None:
-            node = cache.get(ref.page_id, ref.slot)
-            if node is not MISS and self.buffer.touch(ref.page_id):
-                return node
+        reads[page_id] = reads.get(page_id, 0) + 1
         try:
-            payload: _NodePagePayload = self.buffer.fetch(ref.page_id)
-        except Exception:
-            # Checksum / IO failure: never leave poisoned nodes behind.
-            if cache is not None:
-                cache.drop_page(ref.page_id)
-            raise
-        if ref.slot >= len(payload.slots) or payload.slots[ref.slot] is None:
-            if cache is not None:
-                cache.drop_page(ref.page_id)
+            node = self.buffer.fetch(page_id).slots[slot]
+        except IndexError:
+            node = None
+        if node is None:
             raise IndexCorruptionError(f"dangling node reference {ref}")
-        node = payload.slots[ref.slot]
-        if cache is not None:
-            cache.put(ref.page_id, ref.slot, node)
         return node
 
     def write(self, ref: NodeRef, node: Any) -> NodeRef:
@@ -199,8 +154,6 @@ class NodeStore:
             payload.slot_bytes[ref.slot] = size
             payload.used_bytes = new_used
             self.buffer.mark_dirty(ref.page_id)
-            if self.cache is not None:
-                self.cache.put(ref.page_id, ref.slot, node)
             return ref
         self._remove_slot(payload, ref)
         self.num_nodes -= 1  # create() re-counts it
@@ -219,16 +172,13 @@ class NodeStore:
         payload.slots[ref.slot] = None
         payload.slot_bytes[ref.slot] = 0
         self.buffer.mark_dirty(ref.page_id)
-        if self.cache is not None:
-            self.cache.drop_slot(ref.page_id, ref.slot)
 
     def drop_empty_pages(self) -> int:
         """Release every node page with no live slots; returns the count.
 
-        Freed pages leave the buffer pool via :meth:`BufferPool.free_page`,
-        which notifies the node-cache eviction listeners — so no stale
-        cached node can outlive its page. The incremental open page and
-        the repack continuation page are forgotten if they are dropped.
+        Freed pages leave the buffer pool via :meth:`BufferPool.free_page`.
+        The incremental open page and the repack continuation page are
+        forgotten if they are dropped.
         """
         keep: list[int] = []
         freed = 0

@@ -9,6 +9,10 @@ Correspondence to the paper's interface routines (Table 2): ``insert`` is
 ``spgistinsert``, ``search`` is ``spgistbeginscan``/``spgistgettuple``,
 ``build`` is ``spgistbuild``, ``delete`` is ``spgistbulkdelete`` applied to a
 single key, and ``statistics`` feeds ``spgistcostestimate``.
+
+Every node the engine touches is read through the index's
+:class:`~repro.core.clustering.NodeStore`, one buffer-pool fetch per node;
+the pool is the only cache between a descent and the disk.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.costmodel import CPU_OPS
-from repro.errors import IndexCorruptionError, KeyNotFoundError
+from repro.errors import IndexCorruptionError, KeyNotFoundError, PlannerError
 from repro.obs import METRICS, span
 from repro.core.clustering import (
     NodeStore,
@@ -105,7 +109,6 @@ class SPGiSTIndex:
         methods: ExternalMethods,
         name: str = "",
         page_capacity: int | None = None,
-        use_node_cache: bool = True,
     ) -> None:
         self.buffer = buffer
         self.methods = methods
@@ -113,11 +116,7 @@ class SPGiSTIndex:
         self.config: SPGiSTConfig = methods.get_parameters()
         from repro.storage.page import PAGE_CAPACITY
 
-        self.store = NodeStore(
-            buffer,
-            page_capacity or PAGE_CAPACITY,
-            use_node_cache=use_node_cache,
-        )
+        self.store = NodeStore(buffer, page_capacity or PAGE_CAPACITY)
         self.root: NodeRef | None = None
         self._item_count = 0
 
@@ -360,7 +359,7 @@ class SPGiSTIndex:
         elimination. Defaults to on exactly for spanning instantiations.
         """
         if query.op not in self.methods.supported_operators:
-            raise KeyError(
+            raise PlannerError(
                 f"{self.name} does not support operator {query.op!r}; "
                 f"supported: {self.methods.supported_operators}"
             )
@@ -753,7 +752,7 @@ class SPGiSTIndex:
         crash in any step recovers to the last committed step's layout.
 
         Subtrees are taken hottest-first by the store's per-page read
-        counters (the nodecache/obs access signal): ``max_subtrees=1`` is
+        counters (:attr:`NodeStore.page_reads`): ``max_subtrees=1`` is
         the autovacuum-style background step; ``None`` repacks every
         subtree plus the root itself — the full ``REPACK INDEX``
         statement — and resets the heat counters.
@@ -813,18 +812,6 @@ class SPGiSTIndex:
             fill_before=fill_before,
             fill_after=store.fill_factor(),
         )
-
-    # ------------------------------------------------------------------ cache
-
-    def purge_node_cache(self) -> None:
-        """Drop every cached node object (quarantine / recovery hook).
-
-        The node cache is coherent by construction, but corruption handling
-        is belt-and-braces: once a page fails verification the executor
-        purges the whole cache before degrading, so no live node object
-        from the poisoned index survives into later scans.
-        """
-        self.store.purge_cache()
 
     # ------------------------------------------------------------------ stats
 

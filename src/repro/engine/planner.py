@@ -148,23 +148,20 @@ def quarantine_index(
     exc: Exception,
     on_degrade: OnDegrade | None = None,
 ) -> None:
-    """Record the incident, quarantine the index, and purge its node cache.
+    """Record the incident and quarantine the index.
 
     The one way an index is sidelined, whether corruption surfaced while
     *costing* it (cost estimation walks the index, so it can trip over a
     corrupt page before any scan starts) or while the executor scanned it.
-    Purging is what keeps the deserialized-node cache honest under
-    corruption: no live node object from the poisoned index survives into
-    later scans (the planner also stops choosing it, but belt-and-braces).
-    ``on_degrade`` lets a caller observe the degradation in-band — the
-    replication read router uses it to flag a standby whose index went bad
-    for resync instead of silently serving it degraded forever.
+    The planner stops choosing a quarantined index. Nothing needs purging:
+    nodes live only in buffer-pool frames, and a failed page read never
+    admits its frame. ``on_degrade`` lets a caller observe the degradation
+    in-band — the replication read router uses it to flag a standby whose
+    index went bad for resync instead of silently serving it degraded
+    forever.
     """
     INCIDENTS.record(incident, index.name, exc)
     index.quarantined = True
-    purge = getattr(index, "purge_node_cache", None)
-    if purge is not None:
-        purge()
     if on_degrade is not None:
         on_degrade(index, incident, exc)
 

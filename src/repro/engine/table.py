@@ -118,12 +118,6 @@ class TableIndex:
         """Index a batch of new heap rows in one structure call."""
         self.structure.insert_many(list(self.entries(pairs)))
 
-    def purge_node_cache(self) -> None:
-        """Drop this index's deserialized-node cache, if it has one."""
-        purge = getattr(self.structure, "purge_node_cache", None)
-        if purge is not None:
-            purge()
-
     def bulk_delete_rows(self, dead: list[tuple[TupleId, tuple]]) -> int:
         """Remove every entry pointing at a dead row (``ambulkdelete``).
 

@@ -282,8 +282,8 @@ class StorageNode:
 
         The inverse of :meth:`_write_meta`: heap and node pages are already
         in the (replicated or recovered) page file; only the Python-object
-        state that points into them needs restoring. Cached nodes and pool
-        pages from before the refresh were dropped by the caller.
+        state that points into them needs restoring. Pool pages from before
+        the refresh were dropped by the caller.
         """
         meta = self.disk.read_page(META_PAGE_ID)
         if not isinstance(meta, dict) or "commit_seq" not in meta:
@@ -318,7 +318,6 @@ class StorageNode:
         store.page_ids = list(meta["index_page_ids"])
         store.num_nodes = meta["index_num_nodes"]
         store._open_page_id = meta["index_open_page_id"]
-        store.purge_cache()
         index.quarantined = False
 
     @property
@@ -483,7 +482,7 @@ class StorageNode:
 
     def _refresh_engine(self) -> None:
         """Re-read the engine state after new pages landed on disk."""
-        self.pool.clear()  # eviction listeners drop cached nodes page by page
+        self.pool.clear()  # drop frames the applied pages superseded
         self._revive_from_meta()
 
     @property
@@ -544,7 +543,6 @@ class StorageNode:
         self.crashed = False
         self._listener = None
         self._pending.clear()
-        self._detach_stores()
         self._build_engine()
         if self.role == "primary":
             # Recovery may have rolled back past unshipped commits; the
@@ -589,18 +587,7 @@ class StorageNode:
         self.needs_resync = False
         self.applied_seq = primary.commit_seq
         self.applied_lsn = primary.disk.map_lsn
-        self._detach_stores()
         self._build_engine()
-
-    def _detach_stores(self) -> None:
-        """Unhook node-cache eviction listeners of a retired engine stack."""
-        if self.table is None:
-            return
-        for index in self.table.indexes.values():
-            detach = getattr(index.structure.store, "detach", None)
-            if detach is not None:
-                detach()
-        self.table = None
 
     def close(self) -> None:
         """Cleanly shut the node down (no-op when crashed)."""
@@ -610,7 +597,6 @@ class StorageNode:
             self.disk.wal.remove_commit_listener(self._listener)
             self._listener = None
         self.disk.close()
-        self._detach_stores()
         self.crashed = True
 
     def _require_alive(self) -> None:

@@ -21,7 +21,6 @@ from repro.storage.disk import DiskManager, DiskStats
 from repro.storage.filedisk import FileDiskManager
 from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.heap import HeapFile, TupleId
-from repro.storage.nodecache import NodeCache, NodeCacheStats
 from repro.storage.wal import WALRecord, WALStats, WriteAheadLog
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "BufferStats",
     "HeapFile",
     "TupleId",
-    "NodeCache",
-    "NodeCacheStats",
     "WALRecord",
     "WALStats",
     "WriteAheadLog",

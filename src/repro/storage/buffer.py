@@ -4,6 +4,11 @@ All index and heap code fetches pages through a pool; a miss costs one
 physical read on the :class:`DiskManager`. Benchmarks size the pool well
 below the working set so the miss counts track the paper's disk-resident
 setting, and an ablation (D5 in DESIGN.md) sweeps the pool size.
+
+The pool is the only cache, as PostgreSQL's shared buffers are. A resident
+frame holds the page's deserialized payload (for node pages, the live
+``InnerNode``/``LeafNode`` objects), so a warm node read is one
+:meth:`BufferPool.fetch` and nothing above the pool keeps a second copy.
 """
 
 from __future__ import annotations
@@ -22,16 +27,17 @@ from repro.storage.page import Page
 #: Default number of 8 KB frames (64 frames = 512 KB cache).
 DEFAULT_POOL_SIZE = 64
 
-# Observability families, bound once so the fetch hot path pays a single
-# attribute-add per event. These mirror BufferStats exactly — the registry
+# Observability families, bound once; the hit and miss counters are bound to
+# their unlabeled child, so every fetch (one per node read) pays one counter
+# call instead of two. These mirror BufferStats exactly — the registry
 # delta of any operation must reconcile with the pool's own counters, which
 # the explain/obs tests assert.
 _OBS_HITS = METRICS.counter(
     "buffer_hits_total", "Buffer pool fetches served from a resident frame"
-)
+).labels()
 _OBS_MISSES = METRICS.counter(
     "buffer_misses_total", "Buffer pool fetches that went to disk"
-)
+).labels()
 _OBS_EVICTIONS = METRICS.counter(
     "buffer_evictions_total", "Frames evicted to make room in the pool"
 )
@@ -141,34 +147,6 @@ class BufferPool:
         self.stats = BufferStats()
         self._frames: OrderedDict[int, Page] = OrderedDict()
         self._last_missed_page: int | None = None
-        # Residency listeners: called with a page id whenever that page
-        # leaves the pool (eviction, clear, free). Caches layered above the
-        # pool (repro.storage.nodecache) key their coherence off this.
-        self._eviction_listeners: list[Callable[[int], None]] = []
-
-    # -- residency listeners -------------------------------------------------
-
-    def add_eviction_listener(
-        self, listener: Callable[[int], None]
-    ) -> Callable[[int], None]:
-        """Call ``listener(page_id)`` whenever a page leaves the pool.
-
-        Returns the listener so callers can keep the handle for
-        :meth:`remove_eviction_listener`.
-        """
-        self._eviction_listeners.append(listener)
-        return listener
-
-    def remove_eviction_listener(self, listener: Callable[[int], None]) -> None:
-        """Detach a listener registered with :meth:`add_eviction_listener`."""
-        try:
-            self._eviction_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify_departed(self, page_id: int) -> None:
-        for listener in self._eviction_listeners:
-            listener(page_id)
 
     # -- page lifecycle ------------------------------------------------------
 
@@ -180,37 +158,25 @@ class BufferPool:
 
     def free_page(self, page_id: int) -> None:
         """Drop a page from the pool and the disk (no write-back)."""
-        if self._frames.pop(page_id, None) is not None:
-            self._notify_departed(page_id)
+        self._frames.pop(page_id, None)
         self.disk.deallocate_page(page_id)
 
     # -- access --------------------------------------------------------------
 
     def fetch(self, page_id: int) -> Any:
-        """Return the payload of ``page_id``, reading from disk on a miss."""
-        return self._fetch_page(page_id).payload
+        """Return the payload of ``page_id``, reading from disk on a miss.
 
-    def touch(self, page_id: int) -> bool:
-        """Refresh the LRU recency of a *resident* page without accounting.
-
-        Returns True when the page was resident (and is now most-recent),
-        False otherwise. Used by the node cache: a node-cache hit must keep
-        the underlying page's recency exactly as a full fetch would, so
-        eviction order — and therefore every miss count the benchmarks
-        measure — is identical with the cache on or off.
+        Every node read of every tree descent is one call here, so a
+        resident page is served without any further call. A page is
+        admitted only after its read (checksum and retries included)
+        succeeds: a failed read leaves it non-resident.
         """
-        if page_id in self._frames:
-            self._frames.move_to_end(page_id)
-            return True
-        return False
-
-    def _fetch_page(self, page_id: int) -> Page:
         page = self._frames.get(page_id)
         if page is not None:
             self.stats.hits += 1
             _OBS_HITS.inc()
             self._frames.move_to_end(page_id)
-            return page
+            return page.payload
         self.stats.misses += 1
         _OBS_MISSES.inc()
         if self._last_missed_page is not None and page_id == self._last_missed_page + 1:
@@ -221,9 +187,13 @@ class BufferPool:
         payload = self._with_retry(
             lambda: self.disk.read_page(page_id), "read_retries"
         )
-        page = Page(page_id=page_id, payload=payload)
-        self._admit(page)
-        return page
+        self._admit(Page(page_id=page_id, payload=payload))
+        return payload
+
+    def _fetch_page(self, page_id: int) -> Page:
+        """:meth:`fetch`, for callers that need the frame itself."""
+        self.fetch(page_id)
+        return self._frames[page_id]
 
     def _with_retry(self, operation: Callable[[], Any], counter: str) -> Any:
         """Run a disk operation, retrying transient faults with backoff.
@@ -294,10 +264,7 @@ class BufferPool:
     def clear(self) -> None:
         """Flush then empty the pool — simulates a cold cache."""
         self.flush_all()
-        departed = list(self._frames.keys())
         self._frames.clear()
-        for page_id in departed:
-            self._notify_departed(page_id)
 
     def resident_page_ids(self) -> Iterator[int]:
         """Page ids currently cached, in LRU order (oldest first)."""
@@ -346,4 +313,3 @@ class BufferPool:
         del self._frames[victim_id]
         self.stats.evictions += 1
         _OBS_EVICTIONS.inc()
-        self._notify_departed(victim_id)

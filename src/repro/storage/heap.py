@@ -9,10 +9,8 @@ Every slot holds a :class:`HeapTuple` — the record plus its MVCC header
 ``ITEM_OVERHEAD`` models its on-page cost). The heap itself is
 transaction-agnostic: it stores and stamps versions, while visibility
 decisions live in :mod:`repro.engine.txn` and are applied by the table and
-executor layers. Three delete flavours coexist:
+executor layers. A delete takes two steps:
 
-- :meth:`delete` — the physical tombstone (the slot is dead
-  immediately; tests use it as the reference delete);
 - :meth:`mark_deleted` — the MVCC delete: stamps ``xmax`` and leaves the
   version in place for older snapshots;
 - :meth:`reclaim` — VACUUM's primitive: tombstones a version proven dead
@@ -137,22 +135,6 @@ class HeapFile:
         self._page_id_set.add(page_id)
         self._tuple_count += 1
         return TupleId(page_id, 0)
-
-    def delete(self, tid: TupleId) -> Any:
-        """Physically tombstone the tuple at ``tid``; return its record.
-
-        The version is gone immediately, for every snapshot; the caller
-        is responsible for index maintenance.
-        """
-        tup = self.tuple_at(tid)
-        if tup is None:
-            raise StorageError(f"tuple {tid} is already deleted")
-        payload: _HeapPagePayload = self.buffer.fetch(tid.page_id)
-        payload.slots[tid.slot] = None
-        payload.used_bytes -= approx_size(tup.record) + ITEM_OVERHEAD
-        self.buffer.mark_dirty(tid.page_id)
-        self._tuple_count -= 1
-        return tup.record
 
     def mark_deleted(self, tid: TupleId, xid: int) -> Any:
         """MVCC delete: stamp ``xmax = xid``; the version stays in place.

@@ -24,7 +24,7 @@ from repro.core import (
     SPGiSTIndex,
 )
 from repro.core.external import ChooseResult, ExternalMethods
-from repro.errors import KeyNotFoundError
+from repro.errors import KeyNotFoundError, PlannerError
 
 LO, HI = "lo", "hi"
 
@@ -143,7 +143,7 @@ class TestInsertSearch:
     def test_unsupported_operator_raises(self, buffer):
         index = make_index(buffer)
         index.insert(1)
-        with pytest.raises(KeyError):
+        with pytest.raises(PlannerError):
             list(index.search(Query("LIKE", 1)))
 
     def test_search_empty_index(self, buffer):

@@ -9,11 +9,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.catalog import AccessMethodEntry, SystemCatalog
+from repro.engine.catalog import (
+    AccessMethodEntry,
+    SystemCatalog,
+    default_catalog,
+)
 from repro.engine.opclass import OperatorClass
 from repro.engine.operators import builtin_operators
 from repro.engine.sql import Database
-from repro.errors import CatalogError, SQLError
+from repro.engine.table import Column, Table
+from repro.errors import CatalogError, PlannerError, SQLError
+from repro.geometry import Point
 
 
 class SortedKeysIndex:
@@ -105,3 +111,29 @@ class TestFifthAccessMethod:
         db.execute("CREATE TABLE t (id INT);")
         with pytest.raises(CatalogError, match="cannot back an index"):
             db.execute("CREATE INDEX t_heap ON t USING heap (id heap_int);")
+
+
+class TestUnsupportedOperator:
+    @pytest.mark.parametrize(
+        ("using", "opclass", "column", "op", "operand"),
+        [
+            ("SP_GiST", "SP_GiST_trie", "name", "@", Point(0, 0)),
+            ("btree", "btree_varchar", "name", "@", Point(0, 0)),
+            ("hash", "hash_varchar", "name", "<", "w1"),
+            ("rtree", "rtree_point", "p", "#=", "w"),
+        ],
+    )
+    def test_scan_with_an_operator_the_index_lacks_is_a_planner_error(
+        self, buffer, using, opclass, column, op, operand
+    ):
+        table = Table(
+            "t",
+            [Column("name", "varchar"), Column("p", "point")],
+            buffer,
+            default_catalog(),
+        )
+        for i in range(20):
+            table.insert((f"w{i}", Point(i, i)))
+        index = table.create_index("idx", column, using, opclass)
+        with pytest.raises(PlannerError):
+            list(index.scan(op, operand))

@@ -9,6 +9,7 @@ from repro.indexes.pmr import PMRQuadtreeIndex
 from repro.indexes.suffix import SuffixTreeIndex
 from repro.indexes.trie import TrieIndex
 from repro.baselines import BPlusTree
+from repro.errors import PlannerError
 
 
 class TestStringEdgeCases:
@@ -140,10 +141,10 @@ class TestQueryValidation:
     def test_wrong_operand_types_fail_loudly_or_return_nothing(self, buffer):
         trie = TrieIndex(buffer)
         trie.insert("word", 1)
-        with pytest.raises((TypeError, AttributeError, KeyError)):
+        with pytest.raises((TypeError, AttributeError, PlannerError)):
             list(trie.search(Query("^", Box(0, 0, 1, 1))))
 
     def test_operator_check_happens_before_traversal(self, buffer):
         kd = KDTreeIndex(buffer)
-        with pytest.raises(KeyError):
+        with pytest.raises(PlannerError):
             list(kd.search(Query("#=", "nope")))

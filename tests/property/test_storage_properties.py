@@ -65,7 +65,8 @@ class TestHeapProperties:
             st.sets(st.integers(0, len(records) - 1), max_size=len(records))
         )
         for i in victims:
-            heap.delete(tids[i])
+            heap.mark_deleted(tids[i], 2)
+            heap.reclaim(tids[i])
         survivors = [r for i, r in enumerate(records) if i not in victims]
         assert [r for _, r in heap.scan()] == survivors
         assert len(heap) == len(survivors)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.node import LeafNode
 from repro.engine.catalog import default_catalog
+from repro.engine.cost import seqscan_cost
 from repro.engine.executor import execute_plan
 from repro.engine.planner import (
     IndexScanPlan,
@@ -12,6 +12,7 @@ from repro.engine.planner import (
     plan_query,
 )
 from repro.engine.table import Column, Table
+from repro.errors import PageChecksumError
 from repro.resilience import INCIDENTS, corrupt_page
 from repro.workloads import random_words
 
@@ -63,6 +64,38 @@ class TestDegradation:
         assert incident.subject == "trie"
         assert word_table.indexes["trie"].quarantined
 
+    def test_corruption_met_mid_scan_degrades_to_the_heap_rows(
+        self, word_table
+    ):
+        # The root page stays intact and every second other node page is
+        # corrupted, so a prefix scan emits rows from good pages before it
+        # reaches a bad one. A one-letter prefix plans as a Seq Scan on
+        # this table, so the index plan is built directly.
+        target = random_words(2000, seed=61)[5][:1]
+        expected = sorted(
+            row for _tid, row in word_table.scan() if row[0].startswith(target)
+        )
+        index = word_table.indexes["trie"]
+        cost = seqscan_cost(word_table.heap_pages, len(word_table))
+        plan = IndexScanPlan(
+            word_table, Predicate("name", "#=", target), cost, index=index
+        )
+        word_table.buffer.clear()
+        root_page = index.structure.root.page_id
+        bad = [p for p in index.structure.store.page_ids if p != root_page][1::2]
+        for page_id in bad:
+            corrupt_page(word_table.buffer.disk, page_id, seed=page_id)
+        emitted = []
+        with pytest.raises(PageChecksumError):
+            for tid in index.scan("#=", target):
+                emitted.append(tid)
+        assert 0 < len(emitted) < len(expected)  # it really died mid-way
+        assert sorted(execute_plan(plan)) == expected  # every row, none twice
+        assert index.quarantined
+        assert INCIDENTS.of_kind("index-scan-degraded")[0].subject == "trie"
+        resident = set(word_table.buffer.resident_page_ids())
+        assert not resident & set(bad)  # no failed read admitted a frame
+
     def test_quarantined_index_not_planned_again(self, word_table):
         predicate = Predicate("name", "=", "anything")
         plan = plan_query(word_table, predicate)
@@ -77,14 +110,9 @@ class TestDegradation:
         # during planning, before any scan exists. The planner must skip
         # the index, not crash the query.
         corrupt_index(word_table, "trie")
-        # corrupt_index emptied the pool (and with it the node cache);
-        # plant a node so the planner-side purge is observable.
-        cache = word_table.indexes["trie"].structure.store.cache
-        cache.put(999_999, 0, LeafNode(items=[("stale", 0)]))
         target = random_words(2000, seed=61)[3]
         plan = plan_query(word_table, Predicate("name", "=", target))
         assert isinstance(plan, SeqScanPlan)
-        assert len(cache) == 0  # costing quarantines exactly like scanning
         expected = sorted(
             row for _tid, row in word_table.scan() if row[0] == target
         )

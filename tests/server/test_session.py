@@ -45,6 +45,18 @@ def stack(db):
     return db, locks, make
 
 
+def _await_waiters(locks, count, timeout=10.0):
+    """Return once ``count`` lock requests are queued, failing after ``timeout``.
+
+    The lock manager's own waiter count says the other session is now
+    blocked on the row lock, which a fixed sleep can only hope for.
+    """
+    deadline = time.monotonic() + timeout
+    while locks.stats()["waiters"] < count:
+        assert time.monotonic() < deadline, f"never saw {count} lock waiter(s)"
+        time.sleep(0.001)
+
+
 def _classify(sql_text, db=None):
     return table_locks(parse(sql_text), db)
 
@@ -156,7 +168,7 @@ class TestAbortedBlockTaxonomy:
 
     def test_write_conflict_is_first_updater_wins(self, stack):
         """Two blocks updating the same row: waiter gets TxnError on retry."""
-        _, _, make = stack
+        _, locks, make = stack
         s1, s2 = make("s1"), make("s2")
         s1.execute("BEGIN;")
         s2.execute("BEGIN;")
@@ -172,7 +184,7 @@ class TestAbortedBlockTaxonomy:
 
         thread = threading.Thread(target=second_updater)
         thread.start()
-        time.sleep(0.1)
+        _await_waiters(locks, 1)
         s1.execute("COMMIT;")
         thread.join(timeout=10)
         # s2's snapshot predates s1's commit: first-updater-wins fires.
@@ -181,7 +193,7 @@ class TestAbortedBlockTaxonomy:
 
     def test_autocommit_conflict_retries_cleanly(self, stack):
         """Autocommit DML re-runs with a fresh snapshot after the wait."""
-        _, _, make = stack
+        _, locks, make = stack
         s1, s2 = make("s1"), make("s2")
         s1.execute("BEGIN;")
         s1.execute("UPDATE t SET key = 'held' WHERE id = 1;")
@@ -192,7 +204,7 @@ class TestAbortedBlockTaxonomy:
 
         thread = threading.Thread(target=second_updater)
         thread.start()
-        time.sleep(0.1)
+        _await_waiters(locks, 1)
         s1.execute("COMMIT;")
         thread.join(timeout=10)
         assert result["s2"] == "UPDATE 1"
@@ -255,7 +267,7 @@ class TestTimeouts:
 
 class TestDeadlockThroughSessions:
     def test_sql_level_deadlock_victim(self, stack):
-        _, _, make = stack
+        _, locks, make = stack
         s1, s2 = make("s1"), make("s2")
         s1.execute("BEGIN;")
         s2.execute("BEGIN;")
@@ -282,7 +294,7 @@ class TestDeadlockThroughSessions:
             target=cross, args=(s2, "s2", "UPDATE t SET key = 'b1' WHERE id = 1;")
         )
         t1.start()
-        time.sleep(0.05)
+        _await_waiters(locks, 1)  # s1 is queued behind s2's row lock
         t2.start()
         t1.join(timeout=15)
         t2.join(timeout=15)

@@ -49,27 +49,31 @@ class TestScan:
 
     def test_scan_skips_tombstones(self, heap):
         tids = [heap.insert(i) for i in range(10)]
-        heap.delete(tids[3])
-        heap.delete(tids[7])
+        for tid in (tids[3], tids[7]):
+            heap.mark_deleted(tid, 2)
+            heap.reclaim(tid)
         assert [r for _, r in heap.scan()] == [0, 1, 2, 4, 5, 6, 8, 9]
 
 
 class TestDeleteUpdate:
     def test_delete_returns_record(self, heap):
         tid = heap.insert("victim")
-        assert heap.delete(tid) == "victim"
+        assert heap.mark_deleted(tid, 2) == "victim"
+        heap.reclaim(tid)
         assert heap.fetch(tid) is None
         assert len(heap) == 0
 
     def test_double_delete_raises(self, heap):
         tid = heap.insert("victim")
-        heap.delete(tid)
+        heap.mark_deleted(tid, 2)
+        heap.reclaim(tid)
         with pytest.raises(StorageError):
-            heap.delete(tid)
+            heap.mark_deleted(tid, 3)
 
     def test_tids_stable_across_deletes(self, heap):
         tids = [heap.insert(i) for i in range(5)]
-        heap.delete(tids[0])
+        heap.mark_deleted(tids[0], 2)
+        heap.reclaim(tids[0])
         assert heap.fetch(tids[4]) == 4
 
 
@@ -77,7 +81,8 @@ class TestVacuumStats:
     def test_vacuum_stats_after_mass_delete(self, heap):
         tids = [heap.insert("word-%04d" % i) for i in range(3000)]
         for tid in tids[: len(tids) * 3 // 4]:
-            heap.delete(tid)
+            heap.mark_deleted(tid, 2)
+            heap.reclaim(tid)
         pages, needed = heap.vacuum_page_stats()
         assert pages == heap.num_pages
         assert needed < pages  # compaction would reclaim space

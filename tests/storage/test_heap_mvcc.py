@@ -41,7 +41,8 @@ class TestVersionStamps:
 
     def test_mark_deleted_on_tombstone_raises(self, heap):
         tid = heap.insert(("row", 1))
-        heap.delete(tid)
+        heap.mark_deleted(tid, 8)
+        heap.reclaim(tid)
         with pytest.raises(StorageError):
             heap.mark_deleted(tid, 9)
 
